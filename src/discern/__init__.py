@@ -59,6 +59,7 @@ from .strategies import (
     Transcript,
     decode_distortion,
     identify,
+    identify_all,
     tag_partition,
     witness_eq_cost,
     witness_id_cost,

@@ -21,7 +21,7 @@ from .errors import (
     ValidationError,
 )
 from .scheme import Scheme, load_scheme, serialize_scheme
-from .strategies import StrategyDescriptor, identify
+from .strategies import StrategyDescriptor, identify, identify_all
 
 USAGE_EXIT = 1
 DATA_EXIT = 2
@@ -80,18 +80,17 @@ def _tradeoff_doc(scheme: Scheme, tags) -> dict:
         ],
     }
     if tags:
-        doc["tag_plans"] = []
-        for L in sorted(set(tags)):
-            plan = tradeoff.hybrid_tag_plan(scheme, L)
-            doc["tag_plans"].append(
-                {
-                    "L": plan.L,
-                    "groups": [[scheme.class_names[c] for c in g] for g in plan.groups],
-                    "max_group_dimension": plan.max_group_dimension,
-                    "residual_distortion": plan.residual_distortion,
-                    "exhaustive_max_group_dimension": plan.exhaustive_max_group_dimension,
-                }
-            )
+        doc["tag_plans"] = [
+            {
+                "L": p.plan.L,
+                "groups": [[scheme.class_names[c] for c in g] for g in p.plan.groups],
+                "max_group_dimension": p.plan.max_group_dimension,
+                "residual_distortion": p.plan.residual_distortion,
+                "exhaustive_max_group_dimension": p.plan.exhaustive_max_group_dimension,
+            }
+            for p in points
+            if p.plan is not None
+        ]
     return doc
 
 
@@ -122,11 +121,16 @@ def _simulate_doc(scheme: Scheme, kind: str, tag_bits: int | None, class_name: s
     else:
         strat = StrategyDescriptor(kind)
     indices = range(scheme.k) if class_name is None else [scheme.index_of(class_name)]
-    transcripts = []
-    for c in indices:
-        doc = {"class": scheme.class_names[c]}
-        doc.update(_transcript_doc(scheme, identify(scheme, strat, c)))
-        transcripts.append(doc)
+    if strat.kind == "adaptive":
+        # ``trees`` memoises the adaptive tree, so one ``identify`` per class
+        # builds it once; perfbench's traced table1 counters pin this path.
+        found = [identify(scheme, strat, c) for c in indices]
+    else:
+        found = identify_all(scheme, strat, indices)
+    transcripts = [
+        {"class": scheme.class_names[c], **_transcript_doc(scheme, t)}
+        for c, t in zip(indices, found)
+    ]
     return {
         "strategy": {"kind": strat.kind, "tag_bits": strat.tag_bits},
         "transcripts": transcripts,

@@ -10,6 +10,7 @@ check is reported per instance, never assumed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .errors import BarrierError, LimitError
 from .scheme import Scheme
@@ -220,18 +221,38 @@ def block_dimension(scheme: Scheme, members, exact_limit: int = EXACT_SUBSET_LIM
 
     Duplicate profiles inside the group are collapsed first, so the value
     is defined even when the group contains colliding classes (it then
-    measures what queries can still separate).
+    measures what queries can still separate).  A set S separates the g
+    distinct profiles iff their projections ``p & S`` are g distinct
+    values, an O(g) test.  Up to ``exact_limit`` attributes the subsets
+    are searched by increasing size from the ceil(log2 g) lower bound and
+    the first size that separates is exact; above it the result is the
+    size of the ascending greedy drop of ``greedy_minimal_mask``.
     """
-    profiles = sorted({scheme.profile_ints[c] for c in members})
-    if len(profiles) <= 1:
+    profiles = {scheme.profile_ints[c] for c in members}
+    g = len(profiles)
+    if g <= 1:
         return 0
-    pair_masks = pair_separation_masks(profiles)
+
+    def separates(mask: int) -> bool:
+        seen = set()
+        for p in profiles:
+            projected = p & mask
+            if projected in seen:
+                return False
+            seen.add(projected)
+        return True
+
     n = scheme.n
     if n <= exact_limit:
-        all_pairs_hit = lambda mask: all(pm & mask for pm in pair_masks)
-        best = n
-        for mask in range(1 << n):
-            if mask.bit_count() < best and all_pairs_hit(mask):
-                best = mask.bit_count()
-        return best
-    return greedy_minimal_mask(pair_masks, n).bit_count()
+        # Returns by size n at the latest: all attributes separate distinct profiles.
+        bits = [1 << q for q in range(n)]
+        for size in range((g - 1).bit_length(), n + 1):
+            for combo in combinations(bits, size):
+                if separates(sum(combo)):
+                    return size
+    mask = (1 << n) - 1
+    for q in range(n):
+        candidate = mask & ~(1 << q)
+        if separates(candidate):
+            mask = candidate
+    return mask.bit_count()

@@ -162,45 +162,79 @@ def _decode(candidates) -> tuple[int, bool]:
     return ordered[0], len(ordered) > 1
 
 
-def identify(scheme: Scheme, strat: StrategyDescriptor, class_index: int) -> Transcript:
-    """Run one identification of ``class_index`` and record the transcript."""
-    if not 0 <= class_index < scheme.k:
-        raise IndexError(f"class index {class_index} out of range for k={scheme.k}")
+def identify_all(scheme: Scheme, strat: StrategyDescriptor, class_indices) -> list[Transcript]:
+    """Identify each class in ``class_indices``, in order, and record transcripts.
+
+    The plan is computed once per call and shared by every class: the
+    adaptive tree of the scheme for ``adaptive``; for ``hybrid`` the
+    ``tag_partition`` groups plus one adaptive tree per non-singleton
+    group that a requested class falls in; for ``exhaustive`` one scan
+    that lists the classes sharing each requested profile.
+    """
+    class_indices = list(class_indices)
+    for c in class_indices:
+        if not 0 <= c < scheme.k:
+            raise IndexError(f"class index {c} out of range for k={scheme.k}")
 
     if strat.kind == "nominal":
         if strat.tag_bits != tag_bits_for(scheme.k):
             raise ValueError(
                 f"nominal tag_bits must be ceil(log2 k) = {tag_bits_for(scheme.k)}"
             )
-        return Transcript((TAG_READ,), class_index, 1)
-
-    profile = scheme.classes[class_index].profile.bits
+        return [Transcript((TAG_READ,), c, 1) for c in class_indices]
 
     if strat.kind == "exhaustive":
-        observed = scheme.profile_ints[class_index]
-        matches = [c for c, p in enumerate(scheme.profile_ints) if p == observed]
-        output, undecided = _decode(matches)
-        return Transcript(tuple(range(scheme.n)), output, scheme.n, undecided)
+        matches: dict[int, list[int]] = {scheme.profile_ints[c]: [] for c in class_indices}
+        for m, p in enumerate(scheme.profile_ints):
+            if p in matches:
+                matches[p].append(m)
+        transcripts = []
+        for c in class_indices:
+            output, undecided = _decode(matches[scheme.profile_ints[c]])
+            transcripts.append(Transcript(tuple(range(scheme.n)), output, scheme.n, undecided))
+        return transcripts
 
     if strat.kind == "adaptive":
-        queried, leaf = walk(adaptive_tree(scheme), profile)
-        output, undecided = _decode(leaf.candidates)
-        return Transcript(tuple(queried), output, len(queried), undecided)
+        tree = adaptive_tree(scheme)
+        transcripts = []
+        for c in class_indices:
+            queried, leaf = walk(tree, scheme.classes[c].profile.bits)
+            output, undecided = _decode(leaf.candidates)
+            transcripts.append(Transcript(tuple(queried), output, len(queried), undecided))
+        return transcripts
 
     # hybrid: one tag read for the group id, then adaptive within the group
-    groups = tag_partition(scheme, strat.tag_bits)
-    group = next(g for g in groups if class_index in g)
-    if len(group) == 1:
-        return Transcript((TAG_READ,), class_index, 1)
-    sub, order = subscheme(scheme, group)
-    queried, leaf = walk(adaptive_tree(sub), profile)
-    output, undecided = _decode(order[c] for c in leaf.candidates)
-    return Transcript((TAG_READ, *queried), output, 1 + len(queried), undecided)
+    group_of = {c: g for g in tag_partition(scheme, strat.tag_bits) for c in g}
+    group_trees = {}
+    for group in {group_of[c] for c in class_indices if len(group_of[c]) > 1}:
+        sub, order = subscheme(scheme, group)
+        group_trees[group] = (adaptive_tree(sub), order)
+    transcripts = []
+    for c in class_indices:
+        group = group_of[c]
+        if len(group) == 1:
+            transcripts.append(Transcript((TAG_READ,), c, 1))
+            continue
+        tree, order = group_trees[group]
+        queried, leaf = walk(tree, scheme.classes[c].profile.bits)
+        output, undecided = _decode(order[m] for m in leaf.candidates)
+        transcripts.append(Transcript((TAG_READ, *queried), output, 1 + len(queried), undecided))
+    return transcripts
+
+
+def identify(scheme: Scheme, strat: StrategyDescriptor, class_index: int) -> Transcript:
+    """Run one identification of ``class_index``: ``identify_all`` on one class."""
+    return identify_all(scheme, strat, [class_index])[0]
 
 
 def witness_id_cost(scheme: Scheme, strat: StrategyDescriptor) -> int:
-    """Worst-case query count to identify a single entity's class."""
-    return max(identify(scheme, strat, c).query_count for c in range(scheme.k))
+    """Worst-case query count to identify a single entity's class.
+
+    Every class walks one shared plan (see ``identify_all``), so for the
+    tree strategies this is the depth of the tree, or one tag read plus
+    the deepest group tree.
+    """
+    return max(t.query_count for t in identify_all(scheme, strat, range(scheme.k)))
 
 
 def witness_eq_cost(scheme: Scheme, strat: StrategyDescriptor) -> tuple[int, int]:

@@ -8,7 +8,7 @@ colliding scheme.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import matroid
 from .barrier import collisions
@@ -33,10 +33,18 @@ EXHAUSTIVE_PARTITION_BLOCK_LIMIT = 4
 
 @dataclass(frozen=True)
 class TradeoffPoint:
+    """One achievable (tag bits, worst-case queries, distortion) point.
+
+    A hybrid point carries the ``TagPlan`` its W and D were computed from,
+    so callers that report the plan read it here instead of planning
+    again; the plan takes no part in equality.
+    """
+
     L: int
     W: int
     D: float
     source: StrategyDescriptor
+    plan: TagPlan | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.L < 0 or self.W < 0 or not 0.0 <= self.D <= 1.0:
@@ -154,7 +162,8 @@ def _hybrid_worst_queries(scheme: Scheme, groups) -> int:
 
 def achievable_points(scheme: Scheme, hybrid_tags=()) -> tuple[TradeoffPoint, ...]:
     """Points realized by the implemented strategies, in a fixed order:
-    nominal, exhaustive, adaptive, then one hybrid point per requested L."""
+    nominal, exhaustive, adaptive, then one hybrid point per requested L,
+    each planned once and carrying its ``TagPlan``."""
     tag_free_distortion = decode_distortion(scheme)
     points = [
         TradeoffPoint(tag_bits_for(scheme.k), 1, 0.0, StrategyDescriptor.nominal_for(scheme)),
@@ -169,6 +178,7 @@ def achievable_points(scheme: Scheme, hybrid_tags=()) -> tuple[TradeoffPoint, ..
                 _hybrid_worst_queries(scheme, plan.groups),
                 plan.residual_distortion,
                 StrategyDescriptor.hybrid(L),
+                plan,
             )
         )
     return tuple(points)

@@ -1,9 +1,12 @@
 import json
+import random
 
 import pytest
 
+from corpus import random_injective_scheme
 from golden_cases import GOLDEN_CASES, fill
-from discern import cli, matroid
+from discern import cli, matroid, strategies, tradeoff
+from discern.scheme import serialize_scheme
 
 
 def run_cli(capsys, args):
@@ -230,6 +233,40 @@ def test_output_file(capsys, fixtures_dir, tmp_path):
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text())["injective"] is True
+
+
+def count_calls(monkeypatch, module, name) -> list:
+    """Wrap ``module.name`` so each call appends its arguments to the returned list."""
+    calls = []
+    original = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+@pytest.fixture()
+def twelve_classes(tmp_path):
+    path = tmp_path / "k12.json"
+    path.write_text(serialize_scheme(random_injective_scheme(random.Random(40), 12, 6)))
+    return str(path)
+
+
+def test_simulate_hybrid_plans_once(capsys, monkeypatch, twelve_classes):
+    calls = count_calls(monkeypatch, strategies, "tag_partition")
+    code, out = run_cli(capsys, ["simulate", twelve_classes, "--strategy", "hybrid", "--tags", "2"])
+    assert code == 0 and len(json.loads(out)["transcripts"]) == 12
+    assert len(calls) == 1
+
+
+def test_tradeoff_plans_once_per_tag_width(capsys, monkeypatch, twelve_classes):
+    calls = count_calls(monkeypatch, tradeoff, "tag_partition")
+    code, out = run_cli(capsys, ["tradeoff", twelve_classes, "--tags", "1", "2", "3"])
+    assert code == 0 and len(json.loads(out)["tag_plans"]) == 3
+    assert sorted(L for _, L in calls) == [1, 2, 3]
 
 
 def test_pretty_rendering(capsys, fixtures_dir):

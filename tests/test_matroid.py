@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from corpus import random_injective_scheme, random_scheme, scheme_from_profiles
 from discern import checks
@@ -136,6 +136,41 @@ def test_closure_axioms_always_hold(seed, k, n):
     scheme = random_scheme(random.Random(seed), k, n)
     for outcome in checks.check_closure_axioms(scheme):
         assert outcome.ok, outcome.detail
+
+
+def literal_block_minimum(distinct, n: int) -> int:
+    """Oracle: least popcount over all masks hit by every pair of distinct profiles."""
+    pair_masks = pair_separation_masks(distinct)
+    return min(
+        mask.bit_count() for mask in range(1 << n) if all(pm & mask for pm in pair_masks)
+    )
+
+
+@st.composite
+def grouped_schemes(draw):
+    """A scheme drawn from a small profile pool plus one group of its classes.
+
+    The pool is small so groups routinely hold colliding members; a
+    one-member group and a group of one repeated profile are both reachable.
+    """
+    n = draw(st.integers(1, 6))
+    pool = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=6, unique=True))
+    profile_ints = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=10))
+    members = draw(st.sets(st.integers(0, len(profile_ints) - 1), min_size=1))
+    scheme = scheme_from_profiles([tuple(p >> q & 1 for q in range(n)) for p in profile_ints])
+    return scheme, sorted(members)
+
+
+@settings(max_examples=300, deadline=None)
+@given(grouped_schemes())
+@example((scheme_from_profiles([(1, 0), (0, 1), (1, 0)]), [0, 2]))  # all duplicates
+@example((scheme_from_profiles([(1, 0), (0, 1), (1, 0)]), [1]))  # singleton
+def test_block_dimension_matches_literal_definitions(case):
+    scheme, members = case
+    distinct = sorted({scheme.profile_ints[c] for c in members})
+    assert block_dimension(scheme, members) == literal_block_minimum(distinct, scheme.n)
+    greedy = greedy_minimal_mask(pair_separation_masks(distinct), scheme.n).bit_count()
+    assert block_dimension(scheme, members, exact_limit=0) == greedy
 
 
 def test_closure_exchange_verdicts(s2, s3):

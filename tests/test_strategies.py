@@ -11,6 +11,7 @@ from corpus import (
     scheme_from_profiles,
     table1_scheme,
 )
+from discern import strategies
 from discern.barrier import quotient
 from discern.errors import BarrierError, LimitError
 from discern.strategies import (
@@ -18,13 +19,15 @@ from discern.strategies import (
     StrategyDescriptor,
     decode_distortion,
     identify,
+    identify_all,
     subscheme,
     tag_bits_for,
     tag_partition,
     witness_eq_cost,
     witness_id_cost,
 )
-from discern.trees import greedy_decision_tree, optimal_decision_tree, tree_to_dict, walk
+from discern.tradeoff import _hybrid_worst_queries, hybrid_tag_plan
+from discern.trees import adaptive_tree, greedy_decision_tree, optimal_decision_tree, tree_to_dict, walk
 
 # Each consecutive pair differs in exactly one attribute, so the only minimal
 # distinguishing set is all four; an adaptive tree still identifies in three.
@@ -102,6 +105,50 @@ def test_witness_id_cost_table1_values():
     assert tag_bits_for(scheme.k) == 10
     assert witness_id_cost(scheme, StrategyDescriptor.nominal_for(scheme)) == 1
     assert witness_id_cost(scheme, StrategyDescriptor.exhaustive()) == 50
+
+
+def test_witness_id_cost_is_the_plan_depth():
+    # Library W (worst transcript) and tradeoff W (tree depth) must agree.
+    rng = random.Random(30)
+    for make in (random_scheme, random_injective_scheme, random_colliding_scheme):
+        for _ in range(12):
+            k = rng.randint(2, 12)
+            scheme = make(rng, k, rng.randint((k - 1).bit_length(), 7))
+            assert witness_id_cost(scheme, StrategyDescriptor.adaptive()) == adaptive_tree(scheme).depth
+            for L in (1, 2):
+                plan = hybrid_tag_plan(scheme, L)
+                assert witness_id_cost(scheme, StrategyDescriptor.hybrid(L)) == _hybrid_worst_queries(
+                    scheme, plan.groups
+                )
+
+
+def test_witness_id_cost_builds_one_adaptive_tree(monkeypatch):
+    calls = []
+
+    def counting(scheme):
+        calls.append(scheme)
+        return adaptive_tree(scheme)
+
+    monkeypatch.setattr(strategies, "adaptive_tree", counting)
+    scheme = random_injective_scheme(random.Random(32), 12, 6)
+    assert witness_id_cost(scheme, StrategyDescriptor.adaptive()) == adaptive_tree(scheme).depth
+    assert len(calls) == 1
+
+
+def test_identify_all_matches_identify_per_class():
+    rng = random.Random(31)
+    for _ in range(15):
+        scheme = random_colliding_scheme(rng, rng.randint(2, 10), rng.randint(1, 6))
+        for strat in (
+            StrategyDescriptor.nominal_for(scheme),
+            StrategyDescriptor.exhaustive(),
+            StrategyDescriptor.adaptive(),
+            StrategyDescriptor.hybrid(1),
+        ):
+            order = rng.sample(range(scheme.k), scheme.k)
+            assert identify_all(scheme, strat, order) == [identify(scheme, strat, c) for c in order]
+    with pytest.raises(IndexError):
+        identify_all(STAIRCASE, StrategyDescriptor.adaptive(), [0, STAIRCASE.k])
 
 
 def test_nominal_cost_independent_of_size():
