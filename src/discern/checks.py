@@ -27,10 +27,12 @@ class CheckOutcome:
     detail: str | None = None
 
 
-def _closure_table(scheme: Scheme) -> list[int]:
-    pair_masks = matroid.pair_separation_masks(scheme.profile_ints)
-    full = (1 << scheme.n) - 1
-    return [matroid.closure_mask(pair_masks, x, full) for x in range(1 << scheme.n)]
+def _closures(scheme: Scheme) -> list[int]:
+    """cl(X) as a mask for every attribute subset X, through ``matroid.closure``."""
+    return [
+        matroid._to_mask(matroid.closure(scheme, matroid._to_set(x)), scheme.n)
+        for x in range(1 << scheme.n)
+    ]
 
 
 def check_closure_axioms(scheme: Scheme, limit: int = CLOSURE_CHECK_LIMIT) -> list[CheckOutcome]:
@@ -41,8 +43,7 @@ def check_closure_axioms(scheme: Scheme, limit: int = CLOSURE_CHECK_LIMIT) -> li
             CheckOutcome(name, ok=True, skipped=True, detail=reason)
             for name in ("closure-extensive", "closure-monotone", "closure-idempotent")
         ]
-    table = [matroid.closure(scheme, matroid._to_set(x)) for x in range(1 << scheme.n)]
-    masks = [sum(1 << q for q in cl) for cl in table]
+    masks = _closures(scheme)
     outcomes = []
 
     bad = next((x for x in range(1 << scheme.n) if x & ~masks[x]), None)
@@ -101,9 +102,7 @@ def check_closure_exchange(scheme: Scheme, limit: int = CLOSURE_CHECK_LIMIT) -> 
             skipped=True,
             detail=f"exchange scan limited to n <= {limit}, scheme has n={scheme.n}",
         )
-    pair_masks = matroid.pair_separation_masks(scheme.profile_ints)
-    full = (1 << scheme.n) - 1
-    table = [matroid.closure_mask(pair_masks, x, full) for x in range(1 << scheme.n)]
+    table = _closures(scheme)
     for x in range(1 << scheme.n):
         cx = table[x]
         for q2 in range(scheme.n):

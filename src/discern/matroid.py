@@ -1,23 +1,28 @@
 """Distinguishing-set structure over attribute query sets.
 
-The ground set is the attribute index range 0..n-1.  A query set S
-distinguishes the scheme when every pair of distinct classes differs on
-some attribute in S.  The closure of X collects every attribute whose
-answer is determined by agreement on X.  Inclusion-minimal distinguishing
-sets are enumerated and checked against the basis-exchange axiom; the
-check is reported per instance, never assumed.
+The ground set is the attribute index range 0..n-1 and a class is its
+packed profile ``p`` (attribute q in bit q).  A query set S distinguishes
+the scheme when every pair of distinct classes differs on some attribute
+in S, i.e. when the projections ``p & S`` are pairwise distinct
+(``separates``).  The closure of X collects every attribute constant
+within each group of classes sharing ``p & X``.  Inclusion-minimal
+distinguishing sets come from one 2^n table of pair agreement sets, the
+only exhaustive subset scan; they are checked against the basis-exchange
+axiom per instance, never assumed.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+
+import numpy as np
 
 from .errors import BarrierError, LimitError
 from .scheme import Scheme
 
 EXACT_SUBSET_LIMIT = 16
 
-QuerySet = frozenset
+# Largest n whose 2^n agreement-set table is allocated (two 1 GiB tables).
+SUBSET_TABLE_LIMIT = 30
 
 
 @dataclass(frozen=True)
@@ -40,15 +45,6 @@ class DimensionResult:
     witness: frozenset[int]
 
 
-def pair_separation_masks(profile_ints) -> list[int]:
-    """XOR mask per unordered class pair (i < j), attribute q in bit q."""
-    masks = []
-    for i in range(len(profile_ints)):
-        for j in range(i + 1, len(profile_ints)):
-            masks.append(profile_ints[i] ^ profile_ints[j])
-    return masks
-
-
 def _to_mask(indices, n: int) -> int:
     mask = 0
     for q in indices:
@@ -62,6 +58,44 @@ def _to_set(mask: int) -> frozenset[int]:
     return frozenset(q for q in range(mask.bit_length()) if mask >> q & 1)
 
 
+def separates(profiles, mask: int) -> bool:
+    """True iff the projections ``p & mask`` of ``profiles`` are pairwise distinct."""
+    seen = set()
+    for p in profiles:
+        projected = p & mask
+        if projected in seen:
+            return False
+        seen.add(projected)
+    return True
+
+
+def _smallest_separating_mask(profiles, n: int, exact_limit: int) -> tuple[int, bool]:
+    """A smallest mask separating the distinct ``profiles``, and whether it is exact.
+
+    Up to ``exact_limit`` attributes, sizes rise from the ceil(log2 g) bound
+    and each size is scanned in increasing numeric order (Gosper's hack),
+    so the mask is the numerically first of minimum size.  Above it, one
+    ascending drop pass gives an inclusion-minimal mask: the candidate only
+    shrinks, so a kept attribute never becomes droppable later.
+    """
+    if n <= exact_limit:
+        # Returns by size n at the latest: all attributes separate distinct profiles.
+        for size in range((len(profiles) - 1).bit_length(), n + 1):
+            mask = (1 << size) - 1
+            while mask >> n == 0:
+                if separates(profiles, mask):
+                    return mask, True
+                low = mask & -mask
+                ripple = mask + low
+                mask = ripple | ((ripple ^ mask) >> 2) // low
+    mask = (1 << n) - 1
+    for q in range(n):
+        candidate = mask & ~(1 << q)
+        if separates(profiles, candidate):
+            mask = candidate
+    return mask, False
+
+
 def x_equivalent(scheme: Scheme, X, c1: int, c2: int) -> bool:
     """True iff the two classes agree on every attribute in X."""
     if not 0 <= c1 < scheme.k or not 0 <= c2 < scheme.k:
@@ -70,50 +104,62 @@ def x_equivalent(scheme: Scheme, X, c1: int, c2: int) -> bool:
     return (scheme.profile_ints[c1] ^ scheme.profile_ints[c2]) & x_mask == 0
 
 
-def closure_mask(pair_masks, x_mask: int, full_mask: int) -> int:
-    """Attributes constant on every block of the X-agreement partition."""
-    varying = 0
-    for pm in pair_masks:
-        if pm & x_mask == 0:
-            varying |= pm
-    return full_mask & ~varying
-
-
 def closure(scheme: Scheme, X) -> frozenset[int]:
-    """cl(X): every attribute q such that X-agreement forces q-agreement."""
+    """cl(X): every attribute q such that X-agreement forces q-agreement.
+
+    Classes are grouped by ``p & X``; an attribute varies within a group
+    iff it is set in the group's OR but not in its AND.
+    """
     x_mask = _to_mask(X, scheme.n)
-    full = (1 << scheme.n) - 1
-    return _to_set(closure_mask(pair_separation_masks(scheme.profile_ints), x_mask, full))
+    ors: dict[int, int] = {}
+    ands: dict[int, int] = {}
+    for p in scheme.profile_ints:
+        key = p & x_mask
+        ors[key] = ors.get(key, 0) | p
+        ands[key] = ands.get(key, p) & p
+    varying = 0
+    for key, ored in ors.items():
+        varying |= ored ^ ands[key]
+    return _to_set(((1 << scheme.n) - 1) & ~varying)
 
 
 def is_distinguishing(scheme: Scheme, S) -> bool:
     """True iff every pair of distinct classes differs on some attribute in S."""
-    s_mask = _to_mask(S, scheme.n)
-    return all(pm & s_mask for pm in pair_separation_masks(scheme.profile_ints))
+    return separates(scheme.profile_ints, _to_mask(S, scheme.n))
 
 
 def _require_injective(scheme: Scheme):
-    if any(pm == 0 for pm in pair_separation_masks(scheme.profile_ints)):
+    if not separates(scheme.profile_ints, (1 << scheme.n) - 1):
         raise BarrierError(
             "scheme has colliding profiles; no distinguishing set exists"
         )
 
 
-def _distinguishing_table(scheme: Scheme) -> list[bool]:
-    """distinguishing[mask] for every attribute subset, via pair-hit DP."""
-    pair_masks = pair_separation_masks(scheme.profile_ints)
-    n = scheme.n
-    all_pairs = (1 << len(pair_masks)) - 1
-    attr_hits = [0] * n
-    for p, pm in enumerate(pair_masks):
-        for q in range(n):
-            if pm >> q & 1:
-                attr_hits[q] |= 1 << p
-    hit = [0] * (1 << n)
-    for mask in range(1, 1 << n):
-        low = (mask & -mask).bit_length() - 1
-        hit[mask] = hit[mask & (mask - 1)] | attr_hits[low]
-    return [h == all_pairs for h in hit]
+def _minimal_distinguishing_masks(profile_ints, n: int) -> np.ndarray:
+    """Ascending masks of every inclusion-minimal distinguishing set.
+
+    ``blocked[X]`` marks X as contained in the agreement set of some class
+    pair, i.e. not distinguishing: the agreement sets are marked, then the
+    marks are closed downward one attribute at a time.  X is minimal iff it
+    is unmarked while every X minus one attribute is marked.
+    """
+    if n > SUBSET_TABLE_LIMIT:
+        raise LimitError(f"subset table limited to n <= {SUBSET_TABLE_LIMIT}, scheme has n={n}")
+    try:
+        blocked = np.zeros(1 << n, dtype=bool)
+    except MemoryError:
+        raise LimitError(f"cannot allocate the 2^{n}-entry subset table") from None
+    full = (1 << n) - 1
+    profiles = np.array(profile_ints, dtype=np.int64)
+    for i in range(len(profiles) - 1):
+        blocked[full ^ (profiles[i + 1:] ^ profiles[i])] = True
+    for q in range(n):
+        halves = blocked.reshape(-1, 2, 1 << q)
+        halves[:, 0, :] |= halves[:, 1, :]
+    minimal = ~blocked
+    for q in range(n):
+        minimal.reshape(-1, 2, 1 << q)[:, 1, :] &= blocked.reshape(-1, 2, 1 << q)[:, 0, :]
+    return np.flatnonzero(minimal)
 
 
 def enumerate_minimal_distinguishing(scheme: Scheme, max_n: int = EXACT_SUBSET_LIMIT) -> MatroidReport:
@@ -126,22 +172,8 @@ def enumerate_minimal_distinguishing(scheme: Scheme, max_n: int = EXACT_SUBSET_L
     _require_injective(scheme)
     if scheme.n > max_n:
         raise LimitError(f"exact enumeration limited to n <= {max_n}, scheme has n={scheme.n}")
-    table = _distinguishing_table(scheme)
-    minimal_masks = []
-    for mask in range(1 << scheme.n):
-        if not table[mask]:
-            continue
-        sub = mask
-        minimal = True
-        while sub:
-            low = sub & -sub
-            if table[mask & ~low]:
-                minimal = False
-                break
-            sub &= sub - 1
-        if minimal:
-            minimal_masks.append(mask)
-    bases = sorted((_to_set(mask) for mask in minimal_masks), key=lambda b: (len(b), sorted(b)))
+    minimal_masks = _minimal_distinguishing_masks(scheme.profile_ints, scheme.n)
+    bases = sorted((_to_set(int(mask)) for mask in minimal_masks), key=lambda b: (len(b), sorted(b)))
     sizes = {len(b) for b in bases}
     dimension = min(sizes)
     base_set = set(bases)
@@ -155,21 +187,20 @@ def enumerate_minimal_distinguishing(scheme: Scheme, max_n: int = EXACT_SUBSET_L
             f"minimal distinguishing sets of unequal size: {sorted(small)} vs {sorted(large)}"
         )
 
-    exchange_ok = True
-    for b1 in bases:
-        for b2 in bases:
-            for q in sorted(b1 - b2):
-                if not any((b1 - {q}) | {q2} in base_set for q2 in sorted(b2 - b1)):
-                    exchange_ok = False
-                    if counterexample is None:
-                        counterexample = (
-                            f"exchange fails for B1={sorted(b1)}, B2={sorted(b2)}, q={q}"
-                        )
-                    break
-            if not exchange_ok:
-                break
-        if not exchange_ok:
-            break
+    failure = next(
+        (
+            (b1, b2, q)
+            for b1 in bases
+            for b2 in bases
+            for q in sorted(b1 - b2)
+            if not any((b1 - {q}) | {q2} in base_set for q2 in b2 - b1)
+        ),
+        None,
+    )
+    exchange_ok = failure is None
+    if failure and counterexample is None:
+        b1, b2, q = failure
+        counterexample = f"exchange fails for B1={sorted(b1)}, B2={sorted(b2)}, q={q}"
 
     return MatroidReport(
         bases=tuple(bases),
@@ -180,40 +211,16 @@ def enumerate_minimal_distinguishing(scheme: Scheme, max_n: int = EXACT_SUBSET_L
     )
 
 
-def greedy_minimal_mask(pair_masks, n: int) -> int:
-    """Drop attributes ascending while the rest still distinguishes.
-
-    One ascending pass returns an inclusion-minimal distinguishing set:
-    re-testing a kept attribute later cannot succeed because the candidate
-    set only shrinks.
-    """
-    mask = (1 << n) - 1
-    for q in range(n):
-        candidate = mask & ~(1 << q)
-        if all(pm & candidate for pm in pair_masks):
-            mask = candidate
-    return mask
-
-
 def distinguishing_dimension(scheme: Scheme, exact_limit: int = EXACT_SUBSET_LIMIT) -> DimensionResult:
     """Minimum distinguishing-set size; greedy above the exact limit.
 
-    Exact mode scans subsets in packed-mask order and reports the first
-    smallest distinguishing set.  Above ``exact_limit`` the result is the
-    size of a greedily minimized set and is flagged ``exact=False``.
+    Exact mode reports the numerically first smallest distinguishing set.
+    Above ``exact_limit`` the result is the size of a greedily minimized
+    set and is flagged ``exact=False``.
     """
     _require_injective(scheme)
-    if scheme.n <= exact_limit:
-        table = _distinguishing_table(scheme)
-        best_mask = (1 << scheme.n) - 1
-        best_size = scheme.n
-        for mask in range(1 << scheme.n):
-            if table[mask] and mask.bit_count() < best_size:
-                best_mask, best_size = mask, mask.bit_count()
-        return DimensionResult(dimension=best_size, exact=True, witness=_to_set(best_mask))
-    pair_masks = pair_separation_masks(scheme.profile_ints)
-    mask = greedy_minimal_mask(pair_masks, scheme.n)
-    return DimensionResult(dimension=mask.bit_count(), exact=False, witness=_to_set(mask))
+    mask, exact = _smallest_separating_mask(scheme.profile_ints, scheme.n, exact_limit)
+    return DimensionResult(dimension=mask.bit_count(), exact=exact, witness=_to_set(mask))
 
 
 def block_dimension(scheme: Scheme, members, exact_limit: int = EXACT_SUBSET_LIMIT) -> int:
@@ -221,38 +228,10 @@ def block_dimension(scheme: Scheme, members, exact_limit: int = EXACT_SUBSET_LIM
 
     Duplicate profiles inside the group are collapsed first, so the value
     is defined even when the group contains colliding classes (it then
-    measures what queries can still separate).  A set S separates the g
-    distinct profiles iff their projections ``p & S`` are g distinct
-    values, an O(g) test.  Up to ``exact_limit`` attributes the subsets
-    are searched by increasing size from the ceil(log2 g) lower bound and
-    the first size that separates is exact; above it the result is the
-    size of the ascending greedy drop of ``greedy_minimal_mask``.
+    measures what queries can still separate).  Up to ``exact_limit``
+    attributes the value is the exact minimum; above it, the size of the
+    ascending greedy drop; both come from the search behind
+    ``distinguishing_dimension``.
     """
     profiles = {scheme.profile_ints[c] for c in members}
-    g = len(profiles)
-    if g <= 1:
-        return 0
-
-    def separates(mask: int) -> bool:
-        seen = set()
-        for p in profiles:
-            projected = p & mask
-            if projected in seen:
-                return False
-            seen.add(projected)
-        return True
-
-    n = scheme.n
-    if n <= exact_limit:
-        # Returns by size n at the latest: all attributes separate distinct profiles.
-        bits = [1 << q for q in range(n)]
-        for size in range((g - 1).bit_length(), n + 1):
-            for combo in combinations(bits, size):
-                if separates(sum(combo)):
-                    return size
-    mask = (1 << n) - 1
-    for q in range(n):
-        candidate = mask & ~(1 << q)
-        if separates(candidate):
-            mask = candidate
-    return mask.bit_count()
+    return _smallest_separating_mask(profiles, scheme.n, exact_limit)[0].bit_count()

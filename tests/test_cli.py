@@ -1,9 +1,10 @@
 import json
 import random
+from pathlib import Path
 
 import pytest
 
-from corpus import random_injective_scheme
+from corpus import random_injective_scheme, scheme_from_profiles
 from golden_cases import GOLDEN_CASES, fill
 from discern import cli, matroid, strategies, tradeoff
 from discern.scheme import serialize_scheme
@@ -50,6 +51,14 @@ def test_dimension_barrier_scheme(capsys, fixtures_dir):
 
 def test_bases_above_limit(capsys, fixtures_dir):
     code, out = run_cli(capsys, ["bases", str(fixtures_dir / "s3.json"), "--max-n", "2"])
+    assert code == 3
+    assert json.loads(out)["error"]["type"] == "LimitError"
+
+
+def test_bases_table_too_wide_is_a_limit_error(capsys, tmp_path):
+    path = tmp_path / "wide.json"
+    path.write_text(serialize_scheme(scheme_from_profiles([(0,) * 70, (1,) * 70])))
+    code, out = run_cli(capsys, ["bases", str(path), "--max-n", "70"])
     assert code == 3
     assert json.loads(out)["error"]["type"] == "LimitError"
 
@@ -297,3 +306,18 @@ def test_golden_outputs(capsys, fixtures_dir, golden_dir, args, golden, expected
     assert code == expected_code
     stored = (golden_dir / golden).read_text(encoding="utf-8")
     assert out == stored
+
+
+PINNED_CASES = [
+    (command, scheme, 2 if (command, scheme) == ("bases", "s1") else 0)
+    for command in ("bases", "check")
+    for scheme in ("s1", "s2", "s3")
+]
+
+
+@pytest.mark.parametrize("command,scheme,expected_code", PINNED_CASES)
+def test_pinned_outputs(capsys, fixtures_dir, command, scheme, expected_code):
+    code, out = run_cli(capsys, [command, str(fixtures_dir / f"{scheme}.json")])
+    assert code == expected_code
+    pinned = Path(__file__).parent / "pinned" / f"{command}_{scheme}.json"
+    assert out == pinned.read_text(encoding="utf-8")

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -8,13 +9,12 @@ from corpus import random_injective_scheme, random_scheme, scheme_from_profiles
 from discern import checks
 from discern.errors import BarrierError, LimitError
 from discern.matroid import (
+    SUBSET_TABLE_LIMIT,
     block_dimension,
     closure,
     distinguishing_dimension,
     enumerate_minimal_distinguishing,
-    greedy_minimal_mask,
     is_distinguishing,
-    pair_separation_masks,
     x_equivalent,
 )
 
@@ -46,9 +46,24 @@ def brute_force_minimum(scheme) -> int:
     raise AssertionError("no distinguishing set found")
 
 
+def literal_pair_masks(profiles) -> list[int]:
+    """Oracle: the XOR of every unordered pair of profiles, attribute q in bit q."""
+    return [a ^ b for a, b in itertools.combinations(profiles, 2)]
+
+
+def literal_greedy_mask(profiles, n: int) -> int:
+    """Oracle: drop attributes ascending while every pair mask is still hit."""
+    pair_masks = literal_pair_masks(profiles)
+    mask = (1 << n) - 1
+    for q in range(n):
+        candidate = mask & ~(1 << q)
+        if all(pm & candidate for pm in pair_masks):
+            mask = candidate
+    return mask
+
+
 def greedy_dimension(scheme) -> int:
-    masks = pair_separation_masks(scheme.profile_ints)
-    return greedy_minimal_mask(masks, scheme.n).bit_count()
+    return literal_greedy_mask(scheme.profile_ints, scheme.n).bit_count()
 
 
 def test_x_equivalent(s2):
@@ -140,7 +155,7 @@ def test_closure_axioms_always_hold(seed, k, n):
 
 def literal_block_minimum(distinct, n: int) -> int:
     """Oracle: least popcount over all masks hit by every pair of distinct profiles."""
-    pair_masks = pair_separation_masks(distinct)
+    pair_masks = literal_pair_masks(distinct)
     return min(
         mask.bit_count() for mask in range(1 << n) if all(pm & mask for pm in pair_masks)
     )
@@ -169,7 +184,7 @@ def test_block_dimension_matches_literal_definitions(case):
     scheme, members = case
     distinct = sorted({scheme.profile_ints[c] for c in members})
     assert block_dimension(scheme, members) == literal_block_minimum(distinct, scheme.n)
-    greedy = greedy_minimal_mask(pair_separation_masks(distinct), scheme.n).bit_count()
+    greedy = literal_greedy_mask(distinct, scheme.n).bit_count()
     assert block_dimension(scheme, members, exact_limit=0) == greedy
 
 
@@ -222,7 +237,7 @@ def test_greedy_result_is_inclusion_minimal():
         k = rng.randint(2, 8)
         n = max(rng.randint(1, 8), (k - 1).bit_length())
         scheme = random_injective_scheme(rng, k, n)
-        mask = greedy_minimal_mask(pair_separation_masks(scheme.profile_ints), scheme.n)
+        mask = literal_greedy_mask(scheme.profile_ints, scheme.n)
         members = [q for q in range(scheme.n) if mask >> q & 1]
         assert is_distinguishing(scheme, members)
         for q in members:
@@ -261,3 +276,94 @@ def test_block_dimension(s2):
     # Colliding members collapse: only the distinct profiles matter.
     colliding = scheme_from_profiles([(1, 0), (0, 1), (1, 0)])
     assert block_dimension(colliding, range(3)) == 1
+
+
+@st.composite
+def packed_schemes(draw):
+    """Random schemes over a small profile pool: colliding, injective, k=1 and n=0."""
+    n = draw(st.integers(0, 6))
+    pool = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=8, unique=True))
+    if draw(st.booleans()):
+        profile_ints = draw(st.permutations(pool))
+    else:
+        profile_ints = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=9))
+    return scheme_from_profiles([tuple(p >> q & 1 for q in range(n)) for p in profile_ints])
+
+
+def attribute_set(mask: int, n: int) -> set[int]:
+    return {q for q in range(n) if mask >> q & 1}
+
+
+def literal_distinguishes(profiles, mask: int) -> bool:
+    return all(pm & mask for pm in literal_pair_masks(profiles))
+
+
+def literal_minimal_masks(profiles, n: int) -> list[int]:
+    """Oracle: distinguishing masks none of whose one-smaller subsets distinguishes."""
+    return [
+        mask
+        for mask in range(1 << n)
+        if literal_distinguishes(profiles, mask)
+        and not any(
+            literal_distinguishes(profiles, mask & ~(1 << q)) for q in range(n) if mask >> q & 1
+        )
+    ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(packed_schemes(), st.integers(0, 63))
+@example(scheme_from_profiles([()]), 0)  # k=1, n=0
+@example(scheme_from_profiles([(0, 1), (0, 1)]), 3)  # all colliding
+def test_kernel_matches_literal_definitions(scheme, x_bits):
+    profiles, n = scheme.profile_ints, scheme.n
+    pairs = list(itertools.combinations(profiles, 2))
+    x_mask = x_bits & ((1 << n) - 1)
+    X = attribute_set(x_mask, n)
+    agreeing = [(a, b) for a, b in pairs if (a ^ b) & x_mask == 0]
+    assert closure(scheme, X) == {
+        q for q in range(n) if all((a ^ b) >> q & 1 == 0 for a, b in agreeing)
+    }
+    assert is_distinguishing(scheme, X) == literal_distinguishes(profiles, x_mask)
+
+    if len(set(profiles)) < len(profiles):
+        with pytest.raises(BarrierError):
+            enumerate_minimal_distinguishing(scheme)
+        with pytest.raises(BarrierError):
+            distinguishing_dimension(scheme)
+        return
+    minimal = literal_minimal_masks(profiles, n)
+    report = enumerate_minimal_distinguishing(scheme)
+    assert len(report.bases) == len(minimal)
+    assert set(report.bases) == {frozenset(attribute_set(m, n)) for m in minimal}
+    smallest = min(m.bit_count() for m in minimal)
+    first = next(
+        m for m in range(1 << n) if m.bit_count() == smallest and literal_distinguishes(profiles, m)
+    )
+    exact = distinguishing_dimension(scheme)
+    assert exact.exact and exact.dimension == smallest
+    assert exact.witness == attribute_set(first, n)
+    greedy = distinguishing_dimension(scheme, exact_limit=0)
+    expected = literal_greedy_mask(profiles, n)
+    assert (greedy.dimension, greedy.exact) == (expected.bit_count(), n == 0)
+    assert greedy.witness == attribute_set(expected, n)
+
+
+def test_bases_table_memory_stays_bounded():
+    # The subset table holds 2^n bytes whatever k is; the peak must not grow
+    # with the k(k-1)/2 class pairs (79,800 here).
+    scheme = random_injective_scheme(random.Random(11), 400, 16)
+    tracemalloc.start()
+    try:
+        report = enumerate_minimal_distinguishing(scheme)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.bases
+    assert peak < 64 * 2**20, peak
+
+
+def test_bases_table_refuses_unallocatable_n():
+    n = SUBSET_TABLE_LIMIT + 1
+    scheme = scheme_from_profiles([(0,) * n, (1,) * n])
+    with pytest.raises(LimitError):
+        enumerate_minimal_distinguishing(scheme, max_n=n)
