@@ -17,10 +17,14 @@ import numpy as np
 from .barrier import collisions
 from .errors import BarrierError, ConfigError
 from .scheme import Scheme
-from .trees import adaptive_tree
+from .trees import DecisionTree, adaptive_tree
 
 RNG_NAME = "numpy-philox"
 MAX_REPETITIONS = 10_000_001
+# The last probe of the doubling search in repetitions_for: the largest
+# 2**m - 1 not above MAX_REPETITIONS.
+_LAST_PROBE = (1 << (MAX_REPETITIONS + 1).bit_length() - 1) - 1
+BLOCK_TRIALS = 65_536
 
 
 @dataclass(frozen=True)
@@ -58,33 +62,48 @@ def majority_error(r: int, epsilon: float) -> float:
     """
     if epsilon == 0.0:
         return 0.0
+    total = 0.0
+    for term in _tail_terms(r, epsilon):
+        total += term
+    return min(total, 1.0)
+
+
+def _tail_terms(r: int, epsilon: float):
+    """C(r, i) epsilon^i (1 - epsilon)^(r - i) for i = (r + 1) / 2 .. r,
+    in log space so large r stays finite; epsilon > 0."""
     log_eps = math.log(epsilon)
     log_one = math.log(1.0 - epsilon)
-    total = 0.0
+    log_r = math.lgamma(r + 1)
     for i in range(r // 2 + 1, r + 1):
-        log_term = (
-            math.lgamma(r + 1)
+        yield math.exp(
+            log_r
             - math.lgamma(i + 1)
             - math.lgamma(r - i + 1)
             + i * log_eps
             + (r - i) * log_one
         )
-        total += math.exp(log_term)
-    return min(total, 1.0)
 
 
 def repetitions_for(epsilon: float, target: float) -> int:
-    """Smallest odd r with majority_error(r, epsilon) <= target."""
+    """Smallest odd r with majority_error(r, epsilon) <= target.
+
+    An infeasible pair is refused before any tail is summed: the majority
+    error falls with r and is at least its central term, so a central term
+    above the target at the search's last probe means no probe succeeds.
+    """
     if majority_error(1, epsilon) <= target:
         return 1
+    infeasible = ConfigError(
+        f"no feasible repetition count below {MAX_REPETITIONS} for "
+        f"epsilon={epsilon}, per-node target={target}"
+    )
+    if next(_tail_terms(_LAST_PROBE, epsilon)) > target:
+        raise infeasible
     low, high = 1, 3
     while majority_error(high, epsilon) > target:
         low, high = high, high * 2 + 1
         if high > MAX_REPETITIONS:
-            raise ConfigError(
-                f"no feasible repetition count below {MAX_REPETITIONS} for "
-                f"epsilon={epsilon}, per-node target={target}"
-            )
+            raise infeasible
     # Invariant: low fails, high succeeds; both odd.
     while high - low > 2:
         mid = (low + high) // 2
@@ -103,11 +122,36 @@ def reference_bound(cfg: NoiseConfig) -> float:
     return math.log(1.0 / cfg.delta) / (1.0 - 2.0 * cfg.epsilon) ** 2
 
 
+def _flat_tree(tree: DecisionTree) -> tuple[np.ndarray, ...]:
+    """Parallel arrays over the nodes, root first: the queried attribute,
+    the child for answer 0 and for answer 1, and the leaf's class; -1
+    where a field does not apply."""
+    nodes = [tree.root]
+    for node in nodes:  # grows while it is read: breadth-first numbering
+        if not node.is_leaf:
+            nodes += (node.zero, node.one)
+    index = {id(node): i for i, node in enumerate(nodes)}
+    attribute, zero, one, leaf = (np.full(len(nodes), -1, dtype=np.intp) for _ in range(4))
+    for i, node in enumerate(nodes):
+        if node.is_leaf:
+            leaf[i] = node.candidates[0]
+        else:
+            attribute[i] = node.attribute
+            zero[i] = index[id(node.zero)]
+            one[i] = index[id(node.one)]
+    return attribute, zero, one, leaf
+
+
 def simulate_noisy_identification(scheme: Scheme, cfg: NoiseConfig) -> NoiseResult:
     """Repeat-and-majority identification over the adaptive tree.
 
     Deterministic for a fixed (scheme, cfg): the seed drives a Philox
-    counter-based generator and trials run in a fixed order.
+    counter-based generator, and the draws come in a fixed order.  Trials
+    run in consecutive blocks of at most ``BLOCK_TRIALS``.  Each block
+    draws the true class of all its trials with one ``choice``; then, one
+    tree level at a time, one ``binomial(reps, epsilon)`` flip count for
+    every trial still at an internal node, which moves to the child of
+    the true bit, inverted when the flips are a majority.
     """
     if not collisions(scheme).injective:
         raise BarrierError("noisy identification needs profile-injective classes")
@@ -117,22 +161,23 @@ def simulate_noisy_identification(scheme: Scheme, cfg: NoiseConfig) -> NoiseResu
     rng = np.random.Generator(np.random.Philox(cfg.seed))
     masses = np.asarray(scheme.masses)
     masses = masses / masses.sum()
+    bits = np.array([c.profile.bits for c in scheme.classes], dtype=bool)
+    attribute, zero, one, leaf = _flat_tree(tree)
 
     total_queries = 0
     errors = 0
-    for _ in range(cfg.trials):
-        true_class = int(rng.choice(scheme.k, p=masses))
-        profile = scheme.classes[true_class].profile.bits
-        node = tree.root
-        while not node.is_leaf:
-            flips = int(np.count_nonzero(rng.random(reps) < cfg.epsilon))
-            true_bit = profile[node.attribute]
-            wrong = flips > reps // 2
-            observed = true_bit ^ wrong
-            total_queries += reps
-            node = node.one if observed else node.zero
-        if node.candidates[0] != true_class:
-            errors += 1
+    for start in range(0, cfg.trials, BLOCK_TRIALS):
+        truth = rng.choice(scheme.k, size=min(BLOCK_TRIALS, cfg.trials - start), p=masses)
+        node = np.zeros(truth.size, dtype=np.intp)
+        active = np.flatnonzero(leaf[node] < 0)
+        while active.size:
+            at = node[active]
+            wrong = rng.binomial(reps, cfg.epsilon, size=active.size) > reps // 2
+            observed = bits[truth[active], attribute[at]] ^ wrong
+            node[active] = np.where(observed, one[at], zero[at])
+            total_queries += reps * active.size
+            active = active[leaf[node[active]] < 0]
+        errors += int(np.count_nonzero(leaf[node] != truth))
     return NoiseResult(
         mean_queries=total_queries / cfg.trials,
         empirical_error=errors / cfg.trials,

@@ -98,13 +98,24 @@ def subscheme(scheme: Scheme, members) -> tuple[Scheme, list[int]]:
     return sub, order
 
 
-def tag_partition(scheme: Scheme, tag_bits: int) -> tuple[tuple[int, ...], ...]:
+def _group_dimension(scheme: Scheme, members: frozenset, dim_cache: dict) -> int:
+    """``block_dimension`` of ``members``, computed once per ``dim_cache``."""
+    if members not in dim_cache:
+        dim_cache[members] = matroid.block_dimension(scheme, members) if members else 0
+    return dim_cache[members]
+
+
+def tag_partition(
+    scheme: Scheme, tag_bits: int, dim_cache: dict | None = None
+) -> tuple[tuple[int, ...], ...]:
     """Deterministic partition of classes into at most 2**tag_bits groups.
 
     With enough bits to name every class the groups are singletons.  With
     fewer, colliding classes stay in one group (splitting them would fake
     a zero-distortion point below the converse bound), and a move-based
-    local search balances the per-group distinguishing dimension.
+    local search balances the per-group distinguishing dimension.  The
+    search keeps the block dimension of every member set it tries in
+    ``dim_cache`` (a fresh dict if none is given), the final groups' too.
     """
     k = scheme.k
     if tag_bits >= tag_bits_for(k):
@@ -121,13 +132,11 @@ def tag_partition(scheme: Scheme, tag_bits: int) -> tuple[tuple[int, ...], ...]:
         if sum(len(u) for u in groups[filled]) >= target and filled < block_count - 1:
             filled += 1
 
-    dim_cache: dict[frozenset, int] = {}
+    if dim_cache is None:
+        dim_cache = {}
 
     def group_dim(group: list[tuple[int, ...]]) -> int:
-        members = frozenset(c for unit in group for c in unit)
-        if members not in dim_cache:
-            dim_cache[members] = matroid.block_dimension(scheme, members) if members else 0
-        return dim_cache[members]
+        return _group_dimension(scheme, frozenset(c for unit in group for c in unit), dim_cache)
 
     moves = 0
     improved = True

@@ -20,6 +20,7 @@ from .strategies import (
     subscheme,
     tag_bits_for,
     tag_partition,
+    _group_dimension,
     _profile_units,
 )
 from .trees import adaptive_tree
@@ -67,12 +68,6 @@ class TagPlan:
     exhaustive_max_group_dimension: int | None = None
 
 
-def _group_dimensions(scheme: Scheme, groups) -> int:
-    if not groups:
-        return 0
-    return max(matroid.block_dimension(scheme, g) for g in groups)
-
-
 def _grouped_distortion(scheme: Scheme, groups) -> float:
     """Distortion of the best decoder seeing the group tag plus the profile.
 
@@ -89,17 +84,14 @@ def _grouped_distortion(scheme: Scheme, groups) -> float:
     return residual
 
 
-def _exhaustive_best_dimension(scheme: Scheme, block_limit: int) -> int:
+def _exhaustive_best_dimension(scheme: Scheme, block_limit: int, dim_cache: dict) -> int:
     """Minimum over all unit partitions into <= block_limit groups of the
     max per-group dimension.  Collision blocks stay atomic."""
     units = _profile_units(scheme)
-    dim_cache: dict[frozenset, int] = {}
 
     def group_dim(blocks_entry) -> int:
         members = frozenset(c for unit in blocks_entry for c in unit)
-        if members not in dim_cache:
-            dim_cache[members] = matroid.block_dimension(scheme, members)
-        return dim_cache[members]
+        return _group_dimension(scheme, members, dim_cache)
 
     best = scheme.n + 1
 
@@ -127,19 +119,21 @@ def hybrid_tag_plan(scheme: Scheme, L: int) -> TagPlan:
     Classes sharing a profile are never split across groups, so any
     residual collision keeps its group's distortion positive.  For small
     instances (k <= 10, 2**L <= 4) an exhaustive partition search runs as
-    a reference and both values are reported.
+    a reference and both values are reported.  Both searches and the
+    plan's own dimension share one block-dimension cache.
     """
     if L < 0:
         raise ValueError("tag bits must be >= 0")
-    groups = tag_partition(scheme, L)
-    plan_dim = _group_dimensions(scheme, groups)
+    dim_cache: dict[frozenset, int] = {}
+    groups = tag_partition(scheme, L, dim_cache=dim_cache)
+    plan_dim = max((_group_dimension(scheme, frozenset(g), dim_cache) for g in groups), default=0)
     exhaustive_dim = None
     if (
         L < tag_bits_for(scheme.k)
         and scheme.k <= EXHAUSTIVE_PARTITION_CLASS_LIMIT
         and (1 << L) <= EXHAUSTIVE_PARTITION_BLOCK_LIMIT
     ):
-        exhaustive_dim = _exhaustive_best_dimension(scheme, 1 << L)
+        exhaustive_dim = _exhaustive_best_dimension(scheme, 1 << L, dim_cache)
     return TagPlan(
         groups=groups,
         L=L,

@@ -1,8 +1,12 @@
 import math
+import random
+import time
+import tracemalloc
 
+import numpy as np
 import pytest
 
-from corpus import scheme_from_profiles, table1_scheme
+from corpus import random_injective_scheme, scheme_from_profiles, table1_scheme
 from discern.errors import BarrierError, ConfigError
 from discern.noisy import (
     NoiseConfig,
@@ -11,6 +15,32 @@ from discern.noisy import (
     simulate_noisy_identification,
     simulate_tagged,
 )
+from discern.trees import adaptive_tree, walk
+
+
+def bernoulli_walk(scheme, cfg):
+    """Reference: one trial at a time, ``reps`` Bernoulli flips per node.
+
+    Returns the per-trial query counts and error indicators.
+    """
+    tree = adaptive_tree(scheme)
+    reps = repetitions_for(cfg.epsilon, cfg.delta / tree.depth) if tree.depth else 1
+    rng = np.random.Generator(np.random.Philox(cfg.seed))
+    masses = np.asarray(scheme.masses)
+    masses = masses / masses.sum()
+    queries, errors = [], []
+    for _ in range(cfg.trials):
+        true_class = int(rng.choice(scheme.k, p=masses))
+        profile = scheme.classes[true_class].profile.bits
+        node, count = tree.root, 0
+        while not node.is_leaf:
+            flips = int(np.count_nonzero(rng.random(reps) < cfg.epsilon))
+            observed = profile[node.attribute] ^ (flips > reps // 2)
+            count += reps
+            node = node.one if observed else node.zero
+        queries.append(count)
+        errors.append(node.candidates[0] != true_class)
+    return np.array(queries, dtype=float), np.array(errors, dtype=float)
 
 
 @pytest.mark.parametrize(
@@ -121,3 +151,59 @@ def test_result_records_reproducibility_metadata(s2):
     result = simulate_noisy_identification(s2, NoiseConfig(0.1, 0.01, 10, 42))
     assert result.seed == 42
     assert result.rng == "numpy-philox"
+
+
+@pytest.mark.parametrize("epsilon", [0.1, 0.3])
+def test_binomial_walk_matches_bernoulli_reference(epsilon):
+    # Independent seeds on both sides: the two paths draw different streams,
+    # so they must agree in distribution, within 5 standard errors of the
+    # difference of two 20,000-trial means.
+    scheme = random_injective_scheme(random.Random(4242), 20, 16, with_masses=True)
+    trials = 20_000
+    queries, errors = bernoulli_walk(scheme, NoiseConfig(epsilon, 0.2, trials, 101))
+    result = simulate_noisy_identification(scheme, NoiseConfig(epsilon, 0.2, trials, 202))
+    assert errors.mean() > 0.0  # the error comparison below is not vacuous
+    for reference, batched in ((errors, result.empirical_error), (queries, result.mean_queries)):
+        standard_error = math.sqrt(2 * reference.var() / trials)
+        assert abs(batched - reference.mean()) <= 5 * standard_error, (
+            epsilon, batched, reference.mean(), standard_error
+        )
+
+
+def test_noiseless_walk_follows_the_drawn_classes():
+    scheme = table1_scheme()
+    trials, seed = 5_000, 11
+    result = simulate_noisy_identification(scheme, NoiseConfig(0.0, 0.01, trials, seed))
+    masses = np.asarray(scheme.masses)
+    truth = np.random.Generator(np.random.Philox(seed)).choice(
+        scheme.k, size=trials, p=masses / masses.sum()
+    )
+    tree = adaptive_tree(scheme)
+    lengths = [len(walk(tree, scheme.classes[c].profile.bits)[0]) for c in range(scheme.k)]
+    assert result.empirical_error == 0.0
+    assert result.repetitions == 1
+    assert result.mean_queries == sum(lengths[c] for c in truth) / trials
+
+
+def test_memory_does_not_grow_with_trials(s2):
+    # Trials run in fixed-size blocks: a million of them keep a peak of a
+    # few MB, where per-trial arrays would need tens of MB.
+    simulate_noisy_identification(s2, NoiseConfig(0.1, 0.01, 10, 7))  # warm caches
+    tracemalloc.start()
+    try:
+        result = simulate_noisy_identification(s2, NoiseConfig(0.1, 0.01, 1_000_000, 7))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.empirical_error <= 0.01
+    assert peak < 8 * 2**20, peak
+
+
+def test_infeasible_repetitions_rejected_fast():
+    start = time.perf_counter()
+    with pytest.raises(ConfigError) as excinfo:
+        repetitions_for(0.4999, 1e-6)
+    assert time.perf_counter() - start < 0.5
+    assert str(excinfo.value) == (
+        "no feasible repetition count below 10000001 for epsilon=0.4999, per-node target=1e-06"
+    )

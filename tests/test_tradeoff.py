@@ -2,7 +2,13 @@ import random
 
 import pytest
 
-from corpus import random_colliding_scheme, random_scheme, scheme_from_profiles
+from corpus import (
+    random_colliding_scheme,
+    random_injective_scheme,
+    random_scheme,
+    scheme_from_profiles,
+)
+from discern import matroid
 from discern.errors import BarrierError, EmptyInputError
 from discern.matroid import distinguishing_dimension
 from discern.strategies import StrategyDescriptor, tag_bits_for
@@ -153,6 +159,41 @@ def test_greedy_plan_never_worse_than_exhaustive():
         plan = hybrid_tag_plan(scheme, L)
         if plan.exhaustive_max_group_dimension is not None:
             assert plan.max_group_dimension >= plan.exhaustive_max_group_dimension
+
+
+def block_dimension_calls(monkeypatch) -> list:
+    """Record the member set of every ``matroid.block_dimension`` call."""
+    calls = []
+    original = matroid.block_dimension
+
+    def counting(scheme, members, *args, **kwargs):
+        calls.append(frozenset(members))
+        return original(scheme, members, *args, **kwargs)
+
+    monkeypatch.setattr(matroid, "block_dimension", counting)
+    return calls
+
+
+def test_plan_computes_each_group_dimension_once(monkeypatch):
+    scheme = random_injective_scheme(random.Random(36), 20, 16)
+    expected = [hybrid_tag_plan(scheme, L) for L in (1, 2, 3)]
+    calls = block_dimension_calls(monkeypatch)
+    for L, plan in zip((1, 2, 3), expected):
+        calls.clear()
+        assert hybrid_tag_plan(scheme, L) == plan
+        assert len(calls) == len(set(calls)) > len(plan.groups)
+        assert set(map(frozenset, plan.groups)) <= set(calls)
+
+
+def test_exhaustive_reference_shares_the_plan_dimensions(monkeypatch):
+    rng = random.Random(37)
+    calls = block_dimension_calls(monkeypatch)
+    for _ in range(20):
+        scheme = random_scheme(rng, rng.randint(3, 8), rng.randint(1, 5))
+        for L in (1, 2):
+            calls.clear()
+            hybrid_tag_plan(scheme, L)
+            assert len(calls) == len(set(calls))
 
 
 def walk_limited(scheme, tree, class_index, budget):
