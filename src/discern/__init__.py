@@ -56,8 +56,10 @@ from .scheme import (
 from .strategies import (
     StrategyDescriptor,
     TAG_READ,
+    TagPlan,
     Transcript,
     decode_distortion,
+    hybrid_tag_plan,
     identify,
     identify_all,
     tag_partition,
@@ -65,11 +67,9 @@ from .strategies import (
     witness_id_cost,
 )
 from .tradeoff import (
-    TagPlan,
     TradeoffPoint,
     achievable_points,
     converse_check,
-    hybrid_tag_plan,
     localization_counts,
     lossy_budget,
     pareto_frontier,

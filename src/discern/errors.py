@@ -13,11 +13,15 @@ class ParseError(Exception):
 
 
 class ValidationError(Exception):
-    """Raised when a structurally valid document violates a scheme invariant."""
+    """Raised when a structurally valid document violates a scheme invariant.
+
+    ``path`` points at the offending location; ``message`` is the text
+    without it.
+    """
 
     def __init__(self, message: str, path: str = ""):
         super().__init__(f"{path}: {message}" if path else message)
-        self.path = path
+        self.message, self.path = message, path
 
 
 class BarrierError(Exception):

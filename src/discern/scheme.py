@@ -174,20 +174,16 @@ def parse_scheme(text: str, renormalize: bool = False) -> Scheme:
         _expect(isinstance(entry["name"], str), "class name must be a string", f"classes[{i}].name")
         raw_profile = entry["profile"]
         _expect(isinstance(raw_profile, list), "profile must be an array", f"classes[{i}].profile")
-        bits = []
         for j, b in enumerate(raw_profile):
             _expect(
                 isinstance(b, int) and not isinstance(b, bool),
                 "profile entry must be an integer",
                 f"classes[{i}].profile[{j}]",
             )
-            if b not in (0, 1):
-                raise ValidationError(f"profile bit must be 0 or 1, got {b}", f"classes[{i}].profile[{j}]")
-            bits.append(b)
         try:
-            records.append(ClassRecord(entry["name"], Profile(tuple(bits))))
+            records.append(ClassRecord(entry["name"], Profile(tuple(raw_profile))))
         except ValidationError as exc:
-            raise ValidationError(str(exc), f"classes[{i}].profile") from exc
+            raise ValidationError(exc.message, f"classes[{i}].{exc.path}") from exc
 
     masses: tuple[float, ...] = ()
     if "masses" in doc:
@@ -206,14 +202,6 @@ def parse_scheme(text: str, renormalize: bool = False) -> Scheme:
                 raise ValidationError(f"cannot renormalize masses summing to {total}", "masses")
             masses = tuple(m / total for m in masses)
 
-    # Length mismatches surface with an explicit path before Scheme's checks.
-    n = len(raw_attributes)
-    for i, record in enumerate(records):
-        if len(record.profile) != n:
-            raise ValidationError(
-                f"profile has length {len(record.profile)}, expected {n}",
-                f"classes[{i}].profile",
-            )
     return Scheme(tuple(raw_attributes), tuple(records), masses)
 
 

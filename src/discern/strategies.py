@@ -4,7 +4,8 @@ Four observer kinds: ``nominal`` reads a class tag in one query;
 ``exhaustive`` queries every attribute; ``adaptive`` walks a decision
 tree; ``hybrid`` reads an L-bit group tag and then resolves within the
 group adaptively.  Tag-free observers see only the attribute profile, so
-colliding classes produce identical transcripts by construction.
+colliding classes produce identical transcripts by construction.  The
+hybrid tag plan (``tag_partition``, ``hybrid_tag_plan``) is built here.
 """
 from __future__ import annotations
 
@@ -21,6 +22,8 @@ KINDS = ("nominal", "exhaustive", "adaptive", "hybrid")
 TAG_FREE_KINDS = ("exhaustive", "adaptive")
 
 MAX_PARTITION_MOVES = 1000
+EXHAUSTIVE_PARTITION_CLASS_LIMIT = 10
+EXHAUSTIVE_PARTITION_BLOCK_LIMIT = 4
 
 
 def tag_bits_for(k: int) -> int:
@@ -80,22 +83,6 @@ def _profile_units(scheme: Scheme) -> list[tuple[int, ...]]:
     """Profile-quotient blocks ordered by profile bits (ties by index)."""
     blocks = quotient(scheme)
     return sorted(blocks, key=lambda b: (scheme.classes[b[0]].profile.bits, b[0]))
-
-
-def subscheme(scheme: Scheme, members) -> tuple[Scheme, list[int]]:
-    """Scheme restricted to ``members``; returns it plus the global indices.
-
-    Masses are renormalized over the group (uniform if the group carries
-    no mass), which is irrelevant for worst-case tree building.
-    """
-    order = sorted(members)
-    total = sum(scheme.masses[c] for c in order)
-    if total > 0:
-        masses = tuple(scheme.masses[c] / total for c in order)
-    else:
-        masses = tuple(1.0 / len(order) for _ in order)
-    sub = Scheme(scheme.attributes, tuple(scheme.classes[c] for c in order), masses)
-    return sub, order
 
 
 def _group_dimension(scheme: Scheme, members: frozenset, dim_cache: dict) -> int:
@@ -166,9 +153,91 @@ def tag_partition(
     return tuple(tuple(g) for g in sorted(final, key=lambda g: g[0]))
 
 
+@dataclass(frozen=True)
+class TagPlan:
+    """Partition of the classes induced by an L-bit tag.
+
+    ``groups`` is the greedy plan actually used by the hybrid strategy;
+    when the instance is small enough an exhaustive partition search also
+    runs and its best value is reported alongside for comparison.
+    """
+
+    groups: tuple[tuple[int, ...], ...]
+    L: int
+    max_group_dimension: int
+    residual_distortion: float
+    exhaustive_max_group_dimension: int | None = None
+
+
+def _exhaustive_best_dimension(scheme: Scheme, block_limit: int, dim_cache: dict) -> int:
+    """Minimum over all unit partitions into <= block_limit groups of the
+    max per-group dimension.  Collision blocks stay atomic."""
+    units = _profile_units(scheme)
+
+    def group_dim(blocks_entry) -> int:
+        members = frozenset(c for unit in blocks_entry for c in unit)
+        return _group_dimension(scheme, members, dim_cache)
+
+    best = scheme.n + 1
+
+    def assign(i: int, blocks: list[list[tuple[int, ...]]]):
+        nonlocal best
+        if i == len(units):
+            best = min(best, max(group_dim(b) for b in blocks))
+            return
+        for block in blocks:
+            block.append(units[i])
+            assign(i + 1, blocks)
+            block.pop()
+        if len(blocks) < block_limit:
+            blocks.append([units[i]])
+            assign(i + 1, blocks)
+            blocks.pop()
+
+    assign(0, [])
+    return best
+
+
+def hybrid_tag_plan(scheme: Scheme, L: int) -> TagPlan:
+    """Greedy dimension-balanced partition for an L-bit tag.
+
+    Classes sharing a profile are never split across groups, so any
+    residual collision keeps its group's distortion positive.  For small
+    instances (k <= 10, 2**L <= 4) an exhaustive partition search runs as
+    a reference and both values are reported.  Both searches and the
+    plan's own dimension share one block-dimension cache.
+    """
+    if L < 0:
+        raise ValueError("tag bits must be >= 0")
+    dim_cache: dict[frozenset, int] = {}
+    groups = tag_partition(scheme, L, dim_cache=dim_cache)
+    plan_dim = max((_group_dimension(scheme, frozenset(g), dim_cache) for g in groups), default=0)
+    exhaustive_dim = None
+    if (
+        L < tag_bits_for(scheme.k)
+        and scheme.k <= EXHAUSTIVE_PARTITION_CLASS_LIMIT
+        and (1 << L) <= EXHAUSTIVE_PARTITION_BLOCK_LIMIT
+    ):
+        exhaustive_dim = _exhaustive_best_dimension(scheme, 1 << L, dim_cache)
+    return TagPlan(
+        groups=groups,
+        L=L,
+        max_group_dimension=plan_dim,
+        residual_distortion=decode_distortion(scheme, groups),
+        exhaustive_max_group_dimension=exhaustive_dim,
+    )
+
+
 def _decode(candidates) -> tuple[int, bool]:
     ordered = sorted(candidates)
     return ordered[0], len(ordered) > 1
+
+
+def _walk_transcript(scheme: Scheme, tree, c: int, prefix: tuple = ()) -> Transcript:
+    """Transcript of class ``c`` walking ``tree`` after the ``prefix`` queries."""
+    queried, leaf = walk(tree, scheme.classes[c].profile.bits)
+    output, undecided = _decode(leaf.candidates)
+    return Transcript((*prefix, *queried), output, len(prefix) + len(queried), undecided)
 
 
 def identify_all(scheme: Scheme, strat: StrategyDescriptor, class_indices) -> list[Transcript]:
@@ -205,30 +274,20 @@ def identify_all(scheme: Scheme, strat: StrategyDescriptor, class_indices) -> li
 
     if strat.kind == "adaptive":
         tree = adaptive_tree(scheme)
-        transcripts = []
-        for c in class_indices:
-            queried, leaf = walk(tree, scheme.classes[c].profile.bits)
-            output, undecided = _decode(leaf.candidates)
-            transcripts.append(Transcript(tuple(queried), output, len(queried), undecided))
-        return transcripts
+        return [_walk_transcript(scheme, tree, c) for c in class_indices]
 
     # hybrid: one tag read for the group id, then adaptive within the group
     group_of = {c: g for g in tag_partition(scheme, strat.tag_bits) for c in g}
-    group_trees = {}
-    for group in {group_of[c] for c in class_indices if len(group_of[c]) > 1}:
-        sub, order = subscheme(scheme, group)
-        group_trees[group] = (adaptive_tree(sub), order)
-    transcripts = []
-    for c in class_indices:
-        group = group_of[c]
-        if len(group) == 1:
-            transcripts.append(Transcript((TAG_READ,), c, 1))
-            continue
-        tree, order = group_trees[group]
-        queried, leaf = walk(tree, scheme.classes[c].profile.bits)
-        output, undecided = _decode(order[m] for m in leaf.candidates)
-        transcripts.append(Transcript((TAG_READ, *queried), output, 1 + len(queried), undecided))
-    return transcripts
+    group_trees = {
+        group: adaptive_tree(scheme, group)
+        for group in {group_of[c] for c in class_indices if len(group_of[c]) > 1}
+    }
+    return [
+        _walk_transcript(scheme, group_trees[group_of[c]], c, (TAG_READ,))
+        if len(group_of[c]) > 1
+        else Transcript((TAG_READ,), c, 1)
+        for c in class_indices
+    ]
 
 
 def identify(scheme: Scheme, strat: StrategyDescriptor, class_index: int) -> Transcript:
@@ -266,15 +325,21 @@ def witness_eq_cost(scheme: Scheme, strat: StrategyDescriptor) -> tuple[int, int
     return (d, 2 * witness_id_cost(scheme, strat))
 
 
-def decode_distortion(scheme: Scheme) -> float:
-    """Misclassification probability of the best profile-only decoder.
+def decode_distortion(scheme: Scheme, groups=None) -> float:
+    """Misclassification probability of the best decoder that sees the
+    profile and, given ``groups`` (a tag partition), the group tag.
 
-    The optimal decoder maps each profile to its heaviest class (ties to
-    the least index, which does not change the value).  Summing each
-    block's residual mass rather than subtracting from 1 keeps the value
-    exactly 0.0 on injective schemes.
+    The optimal decoder maps each cell (the classes sharing a group and a
+    profile; without ``groups``, a profile-quotient block) to its heaviest
+    class, ties to the least index, which does not change the value.
+    Summing each cell's residual mass rather than subtracting from 1 keeps
+    the value exactly 0.0 on injective cells.
     """
-    return sum(
-        sum(scheme.masses[c] for c in block) - max(scheme.masses[c] for c in block)
-        for block in quotient(scheme)
-    )
+    residual = 0.0
+    for group in (range(scheme.k),) if groups is None else groups:
+        cells: dict[int, list[float]] = {}
+        for c in group:
+            cells.setdefault(scheme.profile_ints[c], []).append(scheme.masses[c])
+        for masses in cells.values():
+            residual += sum(masses) - max(masses)
+    return residual

@@ -16,20 +16,15 @@ from .errors import BarrierError, EmptyInputError
 from .scheme import Scheme
 from .strategies import (
     StrategyDescriptor,
+    TagPlan,
     decode_distortion,
-    subscheme,
+    hybrid_tag_plan,
     tag_bits_for,
-    tag_partition,
-    _group_dimension,
-    _profile_units,
 )
 from .trees import adaptive_tree
 
 OK = "OK"
 VIOLATION = "VIOLATION"
-
-EXHAUSTIVE_PARTITION_CLASS_LIMIT = 10
-EXHAUSTIVE_PARTITION_BLOCK_LIMIT = 4
 
 
 @dataclass(frozen=True)
@@ -52,106 +47,9 @@ class TradeoffPoint:
             raise ValueError(f"invalid tradeoff point ({self.L}, {self.W}, {self.D})")
 
 
-@dataclass(frozen=True)
-class TagPlan:
-    """Partition of the classes induced by an L-bit tag.
-
-    ``groups`` is the greedy plan actually used by the hybrid strategy;
-    when the instance is small enough an exhaustive partition search also
-    runs and its best value is reported alongside for comparison.
-    """
-
-    groups: tuple[tuple[int, ...], ...]
-    L: int
-    max_group_dimension: int
-    residual_distortion: float
-    exhaustive_max_group_dimension: int | None = None
-
-
-def _grouped_distortion(scheme: Scheme, groups) -> float:
-    """Distortion of the best decoder seeing the group tag plus the profile.
-
-    Summed as per-cell residual mass so injective cells contribute an
-    exact 0.0.
-    """
-    residual = 0.0
-    for group in groups:
-        cells: dict[int, list[float]] = {}
-        for c in group:
-            cells.setdefault(scheme.profile_ints[c], []).append(scheme.masses[c])
-        for masses in cells.values():
-            residual += sum(masses) - max(masses)
-    return residual
-
-
-def _exhaustive_best_dimension(scheme: Scheme, block_limit: int, dim_cache: dict) -> int:
-    """Minimum over all unit partitions into <= block_limit groups of the
-    max per-group dimension.  Collision blocks stay atomic."""
-    units = _profile_units(scheme)
-
-    def group_dim(blocks_entry) -> int:
-        members = frozenset(c for unit in blocks_entry for c in unit)
-        return _group_dimension(scheme, members, dim_cache)
-
-    best = scheme.n + 1
-
-    def assign(i: int, blocks: list[list[tuple[int, ...]]]):
-        nonlocal best
-        if i == len(units):
-            best = min(best, max(group_dim(b) for b in blocks))
-            return
-        for block in blocks:
-            block.append(units[i])
-            assign(i + 1, blocks)
-            block.pop()
-        if len(blocks) < block_limit:
-            blocks.append([units[i]])
-            assign(i + 1, blocks)
-            blocks.pop()
-
-    assign(0, [])
-    return best
-
-
-def hybrid_tag_plan(scheme: Scheme, L: int) -> TagPlan:
-    """Greedy dimension-balanced partition for an L-bit tag.
-
-    Classes sharing a profile are never split across groups, so any
-    residual collision keeps its group's distortion positive.  For small
-    instances (k <= 10, 2**L <= 4) an exhaustive partition search runs as
-    a reference and both values are reported.  Both searches and the
-    plan's own dimension share one block-dimension cache.
-    """
-    if L < 0:
-        raise ValueError("tag bits must be >= 0")
-    dim_cache: dict[frozenset, int] = {}
-    groups = tag_partition(scheme, L, dim_cache=dim_cache)
-    plan_dim = max((_group_dimension(scheme, frozenset(g), dim_cache) for g in groups), default=0)
-    exhaustive_dim = None
-    if (
-        L < tag_bits_for(scheme.k)
-        and scheme.k <= EXHAUSTIVE_PARTITION_CLASS_LIMIT
-        and (1 << L) <= EXHAUSTIVE_PARTITION_BLOCK_LIMIT
-    ):
-        exhaustive_dim = _exhaustive_best_dimension(scheme, 1 << L, dim_cache)
-    return TagPlan(
-        groups=groups,
-        L=L,
-        max_group_dimension=plan_dim,
-        residual_distortion=_grouped_distortion(scheme, groups),
-        exhaustive_max_group_dimension=exhaustive_dim,
-    )
-
-
 def _hybrid_worst_queries(scheme: Scheme, groups) -> int:
     """One tag read plus the worst in-group adaptive walk."""
-    worst = 0
-    for group in groups:
-        if len(group) == 1:
-            continue
-        sub, _ = subscheme(scheme, group)
-        worst = max(worst, adaptive_tree(sub).depth)
-    return 1 + worst
+    return 1 + max((adaptive_tree(scheme, g).depth for g in groups if len(g) > 1), default=0)
 
 
 def achievable_points(scheme: Scheme, hybrid_tags=()) -> tuple[TradeoffPoint, ...]:

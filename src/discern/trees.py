@@ -3,8 +3,11 @@
 Internal nodes query one attribute and branch on the 0/1 answer; leaves
 hold every class consistent with the answers on the path.  The exact
 builder minimizes worst-case depth by memoized search over candidate-class
-bitmasks; the greedy builder splits on the most balanced attribute and is
-used above the exact size limits.
+bitmasks (Hyafil & Rivest, 1976); the greedy builder splits on the most
+balanced attribute and is used above the exact size limits.  Every builder
+starts from the bitmask of a class set, by default all k classes; a hybrid
+group's tree is the same search started from the group's mask, so its
+leaves hold the scheme's own class indices.
 """
 from __future__ import annotations
 
@@ -39,8 +42,29 @@ class DecisionTree:
     exact: bool
 
 
+def _class_mask(scheme: Scheme, classes) -> int:
+    """Bitmask of ``classes`` (class c in bit c); every class if None."""
+    if classes is None:
+        return (1 << scheme.k) - 1
+    mask = 0
+    for c in classes:
+        if not 0 <= c < scheme.k:
+            raise IndexError(f"class index {c} out of range for k={scheme.k}")
+        mask |= 1 << c
+    return mask
+
+
+def _exact_fits(scheme: Scheme, mask: int) -> bool:
+    return mask.bit_count() <= EXACT_TREE_CLASS_LIMIT and scheme.n <= EXACT_TREE_ATTR_LIMIT
+
+
 def _candidates(mask: int) -> tuple[int, ...]:
-    return tuple(c for c in range(mask.bit_length()) if mask >> c & 1)
+    found = []
+    while mask:
+        low = mask & -mask
+        found.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(found)
 
 
 def _node_depth(node: TreeNode) -> int:
@@ -59,17 +83,19 @@ def _splitting_attributes(mask: int, columns) -> list[int]:
 
 
 @lru_cache(maxsize=256)
-def optimal_decision_tree(scheme: Scheme) -> DecisionTree:
-    """Minimum worst-case-depth tree; raises LimitError above size limits.
+def optimal_decision_tree(scheme: Scheme, classes=None) -> DecisionTree:
+    """Minimum worst-case-depth tree over ``classes`` (hashable, default all);
+    raises LimitError above the size limits.
 
     State space is the bitmask of classes still consistent; an attribute
     that fails to split the candidates is never useful, so each attribute
     is queried at most once per path automatically.
     """
-    if scheme.k > EXACT_TREE_CLASS_LIMIT or scheme.n > EXACT_TREE_ATTR_LIMIT:
+    start = _class_mask(scheme, classes)
+    if not _exact_fits(scheme, start):
         raise LimitError(
             f"exact tree search limited to k <= {EXACT_TREE_CLASS_LIMIT}, "
-            f"n <= {EXACT_TREE_ATTR_LIMIT}; scheme has k={scheme.k}, n={scheme.n}"
+            f"n <= {EXACT_TREE_ATTR_LIMIT}; got k={start.bit_count()}, n={scheme.n}"
         )
     columns = scheme.column_masks
     memo: dict[int, tuple[int, int | None]] = {}
@@ -101,14 +127,14 @@ def optimal_decision_tree(scheme: Scheme) -> DecisionTree:
             one=build(mask & columns[attr]),
         )
 
-    full = (1 << scheme.k) - 1
-    root = build(full)
-    return DecisionTree(root=root, depth=solve(full)[0], exact=True)
+    root = build(start)
+    return DecisionTree(root=root, depth=solve(start)[0], exact=True)
 
 
 @lru_cache(maxsize=256)
-def greedy_decision_tree(scheme: Scheme) -> DecisionTree:
-    """Most-balanced-split tree (ties to the lowest attribute index)."""
+def greedy_decision_tree(scheme: Scheme, classes=None) -> DecisionTree:
+    """Most-balanced-split tree over ``classes`` (hashable, default all);
+    ties go to the lowest attribute index."""
     columns = scheme.column_masks
 
     def build(mask: int) -> TreeNode:
@@ -128,16 +154,15 @@ def greedy_decision_tree(scheme: Scheme) -> DecisionTree:
             one=build(mask & columns[best_q]),
         )
 
-    root = build((1 << scheme.k) - 1)
+    root = build(_class_mask(scheme, classes))
     return DecisionTree(root=root, depth=_node_depth(root), exact=False)
 
 
-def adaptive_tree(scheme: Scheme) -> DecisionTree:
-    """Exact tree when within limits, greedy otherwise."""
-    try:
-        return optimal_decision_tree(scheme)
-    except LimitError:
-        return greedy_decision_tree(scheme)
+def adaptive_tree(scheme: Scheme, classes=None) -> DecisionTree:
+    """Exact tree over ``classes`` (default all) within the limits, greedy otherwise."""
+    if _exact_fits(scheme, _class_mask(scheme, classes)):
+        return optimal_decision_tree(scheme, classes)
+    return greedy_decision_tree(scheme, classes)
 
 
 def walk(tree: DecisionTree, profile_bits) -> tuple[list[int], TreeNode]:

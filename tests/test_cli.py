@@ -6,7 +6,7 @@ import pytest
 
 from corpus import random_injective_scheme, scheme_from_profiles
 from golden_cases import GOLDEN_CASES, fill
-from discern import cli, matroid, strategies, tradeoff
+from discern import cli, matroid, strategies
 from discern.scheme import serialize_scheme
 
 
@@ -272,7 +272,7 @@ def test_simulate_hybrid_plans_once(capsys, monkeypatch, twelve_classes):
 
 
 def test_tradeoff_plans_once_per_tag_width(capsys, monkeypatch, twelve_classes):
-    calls = count_calls(monkeypatch, tradeoff, "tag_partition")
+    calls = count_calls(monkeypatch, strategies, "tag_partition")
     code, out = run_cli(capsys, ["tradeoff", twelve_classes, "--tags", "1", "2", "3"])
     assert code == 0 and len(json.loads(out)["tag_plans"]) == 3
     assert sorted(L for _, L in calls) == [1, 2, 3]
@@ -321,3 +321,21 @@ def test_pinned_outputs(capsys, fixtures_dir, command, scheme, expected_code):
     assert code == expected_code
     pinned = Path(__file__).parent / "pinned" / f"{command}_{scheme}.json"
     assert out == pinned.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "profiles, message",
+    [
+        ([[0, 1], [0, 2]], "classes[1].profile[1]: profile bit must be 0 or 1, got 2"),
+        ([[-1, 0], [0, 1]], "classes[0].profile[0]: profile bit must be 0 or 1, got -1"),
+        ([[0, 1], [0, 1, 1]], "classes[1].profile: profile has length 3, expected 2"),
+        ([[0], [0, 1]], "classes[0].profile: profile has length 1, expected 2"),
+    ],
+)
+def test_profile_faults_report_message_and_path(capsys, tmp_path, profiles, message):
+    doc = {"attributes": ["p", "q"], "classes": [{"name": f"c{i}", "profile": p} for i, p in enumerate(profiles)]}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out = run_cli(capsys, ["analyze", str(path)])
+    assert code == 2
+    assert out == json.dumps({"error": {"type": "ValidationError", "message": message}}, indent=2) + "\n"

@@ -3,6 +3,7 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from corpus import (
     random_colliding_scheme,
@@ -19,15 +20,24 @@ from discern.strategies import (
     StrategyDescriptor,
     decode_distortion,
     identify,
+    hybrid_tag_plan,
     identify_all,
-    subscheme,
     tag_bits_for,
     tag_partition,
     witness_eq_cost,
     witness_id_cost,
 )
-from discern.tradeoff import _hybrid_worst_queries, hybrid_tag_plan
-from discern.trees import adaptive_tree, greedy_decision_tree, optimal_decision_tree, tree_to_dict, walk
+from discern.scheme import Scheme
+from discern.tradeoff import _hybrid_worst_queries
+from discern.trees import (
+    EXACT_TREE_CLASS_LIMIT,
+    TreeNode,
+    adaptive_tree,
+    greedy_decision_tree,
+    optimal_decision_tree,
+    tree_to_dict,
+    walk,
+)
 
 # Each consecutive pair differs in exactly one attribute, so the only minimal
 # distinguishing set is all four; an adaptive tree still identifies in three.
@@ -337,9 +347,96 @@ def test_hybrid_partial_tags(s2):
         assert t.query_count == 2
 
 
-def test_subscheme_maps_back(s2):
-    sub, order = subscheme(s2, [1, 3])
-    assert order == [1, 3]
-    assert sub.k == 2 and sub.n == 2
-    assert sub.classes[0].name == "B"
-    assert abs(sum(sub.masses) - 1.0) <= 1e-9
+def test_group_tree_keeps_global_indices(s2):
+    tree = adaptive_tree(s2, (1, 3))
+    assert tree.root.candidates == (1, 3)
+    assert len(tree.root.candidates) == 2 and tree.depth <= s2.n
+    assert s2.class_names[tree.root.candidates[0]] == "B"
+    for c in (1, 3):
+        assert walk(tree, s2.classes[c].profile.bits)[1].candidates == (c,)
+
+
+def literal_subscheme(scheme, members):
+    """Reference: ``members`` copied into their own scheme, masses renormalised
+    (uniform if the group carries no mass), plus the global index of each
+    sub-scheme class."""
+    order = sorted(members)
+    total = sum(scheme.masses[c] for c in order)
+    if total > 0:
+        masses = tuple(scheme.masses[c] / total for c in order)
+    else:
+        masses = tuple(1.0 / len(order) for _ in order)
+    sub = Scheme(scheme.attributes, tuple(scheme.classes[c] for c in order), masses)
+    return sub, order
+
+
+def mapped_back(node, order):
+    """The sub-scheme tree ``node`` with every candidate replaced by its global index."""
+    if node is None:
+        return None
+    return TreeNode(
+        node.attribute,
+        tuple(order[m] for m in node.candidates),
+        mapped_back(node.zero, order),
+        mapped_back(node.one, order),
+    )
+
+
+@st.composite
+def schemes_with_groups(draw):
+    """An injective, colliding or mixed scheme and one group of its classes.
+
+    Up to 40 classes and a group of any size, so groups lie on both sides
+    of the exact-tree class limit; a two-profile pool makes colliding
+    members common, and the group's mass may be zero.
+    """
+    n = draw(st.integers(1, 7))
+    k = draw(st.integers(1, 40))
+    kind = draw(st.sampled_from(("injective", "colliding", "mixed")))
+    if kind == "injective" and k <= 1 << n:
+        profile_ints = draw(st.permutations(range(1 << n)))[:k]
+    else:
+        size = 2 if kind == "colliding" else 1 << n
+        pool = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=size, unique=True))
+        profile_ints = draw(st.lists(st.sampled_from(pool), min_size=k, max_size=k))
+    members = draw(st.permutations(range(k)))[: draw(st.integers(1, k))]
+    masses = ()
+    weighting = draw(st.sampled_from(("uniform", "random", "zero-group")))
+    if weighting == "random":
+        weights = draw(st.lists(st.integers(1, 9), min_size=k, max_size=k))
+        masses = tuple(w / sum(weights) for w in weights)
+    elif weighting == "zero-group" and len(members) < k:
+        masses = tuple(0.0 if c in members else 1.0 / (k - len(members)) for c in range(k))
+    scheme = scheme_from_profiles([tuple(p >> q & 1 for q in range(n)) for p in profile_ints], masses)
+    return scheme, tuple(sorted(members))
+
+
+FORTY_CLASSES = random_injective_scheme(random.Random(41), 40, 7)
+
+
+@settings(max_examples=150, deadline=None)
+@given(schemes_with_groups())
+@example((FORTY_CLASSES, tuple(range(0, 40, 2))))  # 20 classes: exact
+@example((FORTY_CLASSES, tuple(range(30))))  # 30 classes: greedy
+def test_group_tree_equals_the_subscheme_tree(case):
+    scheme, group = case
+    sub, order = literal_subscheme(scheme, group)
+    reference = adaptive_tree(sub)
+    tree = adaptive_tree(scheme, group)
+    assert tree.depth == reference.depth
+    assert tree.exact == reference.exact == (len(group) <= EXACT_TREE_CLASS_LIMIT)
+    assert tree.root == mapped_back(reference.root, order)
+
+
+def test_table1_adaptive_tree_never_tries_the_exact_search():
+    optimal_decision_tree.cache_clear()
+    tree = adaptive_tree(table1_scheme())
+    assert not tree.exact
+    assert optimal_decision_tree.cache_info().misses == 0
+    assert optimal_decision_tree.cache_info().hits == 0
+
+
+def test_tree_builders_reject_out_of_range_classes(s2):
+    for build in (adaptive_tree, optimal_decision_tree, greedy_decision_tree):
+        with pytest.raises(IndexError):
+            build(s2, (0, 4))
