@@ -35,15 +35,21 @@ def _closures(scheme: Scheme) -> list[int]:
     ]
 
 
-def check_closure_axioms(scheme: Scheme, limit: int = CLOSURE_CHECK_LIMIT) -> list[CheckOutcome]:
-    """Extensivity, monotonicity, idempotence over every attribute subset."""
+def check_closure_axioms(
+    scheme: Scheme, limit: int = CLOSURE_CHECK_LIMIT, closures: list[int] | None = None
+) -> list[CheckOutcome]:
+    """Extensivity, monotonicity, idempotence over every attribute subset.
+
+    ``closures`` is the scheme's ``_closures`` table when the caller has
+    already built it; otherwise it is built here.
+    """
     if scheme.n > limit:
         reason = f"closure axiom scan limited to n <= {limit}, scheme has n={scheme.n}"
         return [
             CheckOutcome(name, ok=True, skipped=True, detail=reason)
             for name in ("closure-extensive", "closure-monotone", "closure-idempotent")
         ]
-    masks = _closures(scheme)
+    masks = _closures(scheme) if closures is None else closures
     outcomes = []
 
     bad = next((x for x in range(1 << scheme.n) if x & ~masks[x]), None)
@@ -89,11 +95,14 @@ def check_closure_axioms(scheme: Scheme, limit: int = CLOSURE_CHECK_LIMIT) -> li
     return outcomes
 
 
-def check_closure_exchange(scheme: Scheme, limit: int = CLOSURE_CHECK_LIMIT) -> CheckOutcome:
+def check_closure_exchange(
+    scheme: Scheme, limit: int = CLOSURE_CHECK_LIMIT, closures: list[int] | None = None
+) -> CheckOutcome:
     """Steinitz exchange over the closure operator, exhaustive over subsets.
 
     This is the instance-level verification of the matroid claim; a failure
     is a reportable finding about the scheme, not an implementation bug.
+    ``closures`` is as in ``check_closure_axioms``.
     """
     if scheme.n > limit:
         return CheckOutcome(
@@ -102,7 +111,7 @@ def check_closure_exchange(scheme: Scheme, limit: int = CLOSURE_CHECK_LIMIT) -> 
             skipped=True,
             detail=f"exchange scan limited to n <= {limit}, scheme has n={scheme.n}",
         )
-    table = _closures(scheme)
+    table = _closures(scheme) if closures is None else closures
     for x in range(1 << scheme.n):
         cx = table[x]
         for q2 in range(scheme.n):
@@ -182,8 +191,9 @@ def check_barrier_factoring(scheme: Scheme) -> CheckOutcome:
 
 def check_scheme(scheme: Scheme, closure_limit: int = CLOSURE_CHECK_LIMIT) -> list[CheckOutcome]:
     """Full property run used by the ``check`` CLI command."""
-    outcomes = check_closure_axioms(scheme, limit=closure_limit)
-    outcomes.append(check_closure_exchange(scheme, limit=closure_limit))
+    closures = _closures(scheme) if scheme.n <= closure_limit else None
+    outcomes = check_closure_axioms(scheme, closure_limit, closures)
+    outcomes.append(check_closure_exchange(scheme, closure_limit, closures))
     outcomes.extend(check_basis_family(scheme))
     outcomes.append(check_barrier_factoring(scheme))
     return outcomes

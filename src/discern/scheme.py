@@ -23,7 +23,7 @@ class Profile:
 
     def __post_init__(self):
         for i, b in enumerate(self.bits):
-            if b not in (0, 1) or isinstance(b, bool):
+            if not isinstance(b, int) or isinstance(b, bool) or b not in (0, 1):
                 raise ValidationError(f"profile bit must be 0 or 1, got {b!r}", f"profile[{i}]")
 
     def __len__(self) -> int:
@@ -88,6 +88,22 @@ class Scheme:
         total = sum(self.masses)
         if abs(total - 1.0) > MASS_SUM_TOLERANCE:
             raise ValidationError(f"masses sum to {total}, expected 1", "masses")
+
+    def __hash__(self) -> int:
+        # The generated hash walks every class record on each call, and
+        # every memoised tree lookup hashes its scheme; hash it once.
+        cached = self.__dict__.get("_hash")
+        if cached is None:
+            cached = hash((self.attributes, self.classes, self.masses))
+            object.__setattr__(self, "_hash", cached)
+        return cached
+
+    def __getstate__(self) -> dict:
+        # String hashes differ between processes: a stored hash must not
+        # outlive the process that computed it.
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
 
     @property
     def k(self) -> int:

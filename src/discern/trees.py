@@ -3,11 +3,17 @@
 Internal nodes query one attribute and branch on the 0/1 answer; leaves
 hold every class consistent with the answers on the path.  The exact
 builder minimizes worst-case depth by memoized search over candidate-class
-bitmasks (Hyafil & Rivest, 1976); the greedy builder splits on the most
-balanced attribute and is used above the exact size limits.  Every builder
-starts from the bitmask of a class set, by default all k classes; a hybrid
-group's tree is the same search started from the group's mask, so its
-leaves hold the scheme's own class indices.
+bitmasks (Hyafil & Rivest, 1976), pruned by an admissible lower bound: a
+set with D distinct profiles, whose attributes split off at most b of
+them on their smaller side, needs max(ceil(log2 D), ceil((D - 1) / b))
+queries, since on the larger side's path a query halves D at best and
+removes at most b.  The pruning passes over no attribute that could
+win, so every depth and tree is that of the unpruned search.  The greedy
+builder splits on the most balanced attribute and is used above the
+exact size limits.  Every builder starts from the bitmask of a class set,
+by default all k classes; a hybrid group's tree is the same search
+started from the group's mask, so its leaves hold the scheme's own class
+indices.
 """
 from __future__ import annotations
 
@@ -73,13 +79,39 @@ def _node_depth(node: TreeNode) -> int:
     return 1 + max(_node_depth(node.zero), _node_depth(node.one))
 
 
-def _splitting_attributes(mask: int, columns) -> list[int]:
-    splits = []
-    for q, col in enumerate(columns):
-        ones = mask & col
-        if ones and ones != mask:
-            splits.append(q)
-    return splits
+def _distinct_reducer(scheme: Scheme, start: int):
+    """Map a candidate mask to one class per distinct profile (its lowest).
+
+    Classes sharing a profile answer every query alike, so the reduced
+    mask has the same splitting attributes and counts distinct profiles
+    by its bits.
+    """
+    shared: dict[int, int] = {}
+    for c in _candidates(start):
+        p = scheme.profile_ints[c]
+        shared[p] = shared.get(p, 0) | 1 << c
+    groups = [g for g in shared.values() if g & (g - 1)]
+
+    def reduce(mask: int) -> int:
+        for g in groups:
+            hit = mask & g
+            mask &= ~(hit & (hit - 1))
+        return mask
+
+    return reduce
+
+
+def _depth_bound(count: int, widest: int) -> int:
+    """Least worst-case depth possible for ``count`` distinct profiles when
+    no attribute splits off more than ``widest`` of them."""
+    if count <= 1:
+        return 0
+    return max((count - 1).bit_length(), -(-(count - 1) // widest))
+
+
+def _fewest_reaching(depth: int, widest: int) -> int:
+    """Fewest distinct profiles whose ``_depth_bound`` reaches ``depth`` >= 1."""
+    return min((1 << (depth - 1)) + 1, (depth - 1) * widest + 2)
 
 
 @lru_cache(maxsize=256)
@@ -90,6 +122,20 @@ def optimal_decision_tree(scheme: Scheme, classes=None) -> DecisionTree:
     State space is the bitmask of classes still consistent; an attribute
     that fails to split the candidates is never useful, so each attribute
     is queried at most once per path automatically.
+
+    The search is pruned by a lower bound on a mask's depth.  With D
+    distinct profiles among the candidates (D <= 1 gives 0) and b the
+    largest minority side, in distinct profiles, over the attributes that
+    split them, the bound is max(ceil(log2 D), ceil((D - 1) / b)).  It is
+    admissible: on the path that always takes the side with more distinct
+    profiles, a query at best halves D and removes at most b of them, and
+    b cannot grow on a subset, so the mask's b also bounds its children.
+    An attribute is skipped once 1 + its larger child's bound, or 1 + its
+    zero child's exact depth, reaches the best depth found so far, and the
+    scan stops once that depth meets the mask's own bound.  None of
+    these passes over the lowest attribute of strictly least depth, and
+    only exact depths are memoised, so every depth and tree is that of
+    the unpruned search.
     """
     start = _class_mask(scheme, classes)
     if not _exact_fits(scheme, start):
@@ -98,6 +144,7 @@ def optimal_decision_tree(scheme: Scheme, classes=None) -> DecisionTree:
             f"n <= {EXACT_TREE_ATTR_LIMIT}; got k={start.bit_count()}, n={scheme.n}"
         )
     columns = scheme.column_masks
+    distinct = _distinct_reducer(scheme, start)
     memo: dict[int, tuple[int, int | None]] = {}
 
     def solve(mask: int) -> tuple[int, int | None]:
@@ -105,14 +152,32 @@ def optimal_decision_tree(scheme: Scheme, classes=None) -> DecisionTree:
         if cached is not None:
             return cached
         best_depth, best_attr = 0, None
-        splits = _splitting_attributes(mask, columns)
+        reps = distinct(mask)
+        count = reps.bit_count()
+        splits, widest = [], 0
+        for q, col in enumerate(columns):
+            ones = (reps & col).bit_count()
+            if 0 < ones < count:
+                splits.append((q, ones))
+                if widest < ones < count - widest:
+                    widest = min(ones, count - ones)
         if splits:
-            best_depth = scheme.n + 1
-            for q in splits:
-                ones = mask & columns[q]
-                depth = 1 + max(solve(mask & ~columns[q])[0], solve(ones)[0])
+            floor = _depth_bound(count, widest)
+            # An attribute whose larger side holds ``skip_from`` profiles or
+            # more has 1 + _depth_bound(larger side) >= best_depth: skip it.
+            best_depth, skip_from = scheme.n + 1, count
+            for q, ones in splits:
+                if ones >= skip_from or count - ones >= skip_from:
+                    continue
+                depth = 1 + solve(mask & ~columns[q])[0]
+                if depth >= best_depth:
+                    continue
+                depth = max(depth, 1 + solve(mask & columns[q])[0])
                 if depth < best_depth:
                     best_depth, best_attr = depth, q
+                    if depth == floor:
+                        break
+                    skip_from = _fewest_reaching(depth - 1, widest)
         memo[mask] = (best_depth, best_attr)
         return memo[mask]
 

@@ -210,6 +210,18 @@ def test_closure_exchange_recorded_per_instance():
     assert verdicts[True] > 0
 
 
+def test_check_scheme_builds_the_closure_table_once(monkeypatch):
+    built = []
+    build = checks._closures
+    monkeypatch.setattr(checks, "_closures", lambda scheme: built.append(1) or build(scheme))
+    outcomes = checks.check_scheme(EXCHANGE_FAILURE)
+    assert len(built) == 1
+    alone = checks.check_closure_axioms(EXCHANGE_FAILURE)
+    alone.append(checks.check_closure_exchange(EXCHANGE_FAILURE))
+    assert outcomes[:4] == alone and not alone[3].ok
+    assert len(built) == 3
+
+
 def test_unequal_bases_are_reported_not_suppressed():
     report = enumerate_minimal_distinguishing(UNEQUAL_BASES)
     assert not report.equal_cardinality_ok

@@ -1,5 +1,10 @@
 import json
+import os
+import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +19,7 @@ from discern.scheme import (
     profile_of,
     serialize_scheme,
 )
+from discern.trees import optimal_decision_tree
 
 MINIMAL = '{"attributes":["p","q"],"classes":[{"name":"A","profile":[0,0]},{"name":"B","profile":[0,1]}]}'
 
@@ -150,3 +156,32 @@ def test_direct_construction_validates():
         Scheme(("a",), (ClassRecord("A", Profile((0, 1))),))
     with pytest.raises(ValidationError):
         Profile((0, 2))
+    for bit in (1.0, 0.0, True, "1"):
+        with pytest.raises(ValidationError) as exc:
+            Profile((0, bit))
+        assert exc.value.path == "profile[1]"
+
+
+def test_equal_schemes_hash_equal(s2):
+    hash(s2)
+    assert hash(parse_scheme(serialize_scheme(s2))) == hash(s2)
+
+
+def test_unpickled_scheme_hashes_in_its_own_process():
+    # Pickle in a process with other string hashes: a hash stored there
+    # and carried over would not match a freshly parsed equal scheme.
+    src = Path(__file__).resolve().parent.parent / "src"
+    script = (
+        "import pickle, sys; from discern.scheme import parse_scheme; "
+        f"s = parse_scheme({MINIMAL!r}); hash(s); sys.stdout.buffer.write(pickle.dumps(s))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED="12345")
+    data = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, check=True).stdout
+    clone = pickle.loads(data)
+    fresh = parse_scheme(MINIMAL)
+    assert clone == fresh
+    assert hash(clone) == hash(fresh)
+    optimal_decision_tree.cache_clear()
+    optimal_decision_tree(fresh)
+    optimal_decision_tree(clone)
+    assert optimal_decision_tree.cache_info().hits == 1

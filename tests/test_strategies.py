@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -12,7 +13,7 @@ from corpus import (
     scheme_from_profiles,
     table1_scheme,
 )
-from discern import strategies
+from discern import strategies, trees
 from discern.barrier import quotient
 from discern.errors import BarrierError, LimitError
 from discern.strategies import (
@@ -32,6 +33,8 @@ from discern.tradeoff import _hybrid_worst_queries
 from discern.trees import (
     EXACT_TREE_CLASS_LIMIT,
     TreeNode,
+    _depth_bound,
+    _fewest_reaching,
     adaptive_tree,
     greedy_decision_tree,
     optimal_decision_tree,
@@ -440,3 +443,104 @@ def test_tree_builders_reject_out_of_range_classes(s2):
     for build in (adaptive_tree, optimal_decision_tree, greedy_decision_tree):
         with pytest.raises(IndexError):
             build(s2, (0, 4))
+
+
+def unbounded_tree(scheme, classes=None):
+    """Reference: the literal Hyafil–Rivest memoised search, no bound or cut.
+
+    Returns (depth, root); ties go to the lowest attribute of least depth.
+    """
+    columns = scheme.column_masks
+    memo = {}
+
+    def solve(mask):
+        if mask not in memo:
+            splits = [q for q, col in enumerate(columns) if mask & col and mask & ~col]
+            memo[mask] = min(
+                ((1 + max(solve(mask & ~columns[q])[0], solve(mask & columns[q])[0]), q) for q in splits),
+                default=(0, None),
+            )
+        return memo[mask]
+
+    def build(mask):
+        q = solve(mask)[1]
+        candidates = tuple(c for c in range(scheme.k) if mask >> c & 1)
+        if q is None:
+            return TreeNode(None, candidates)
+        return TreeNode(q, candidates, build(mask & ~columns[q]), build(mask & columns[q]))
+
+    start = sum(1 << c for c in (range(scheme.k) if classes is None else classes))
+    return solve(start)[0], build(start)
+
+
+def one_hot_scheme(k):
+    return scheme_from_profiles([tuple(int(q == c) for q in range(k)) for c in range(k)])
+
+
+@st.composite
+def exact_tree_cases(draw):
+    """An injective, colliding or mixed scheme (k <= 16, n <= 10) and either
+    every class (None) or a subset of them."""
+    n = draw(st.integers(1, 10))
+    k = draw(st.integers(1, 16))
+    kind = draw(st.sampled_from(("injective", "colliding", "mixed")))
+    top = (1 << n) - 1
+    if kind == "injective" and k <= 1 << n:
+        profile_ints = draw(st.lists(st.integers(0, top), min_size=k, max_size=k, unique=True))
+    else:
+        size = 2 if kind == "colliding" else k
+        pool = draw(st.lists(st.integers(0, top), min_size=1, max_size=size, unique=True))
+        profile_ints = draw(st.lists(st.sampled_from(pool), min_size=k, max_size=k))
+    scheme = scheme_from_profiles([tuple(p >> q & 1 for q in range(n)) for p in profile_ints])
+    subset = st.lists(st.integers(0, k - 1), min_size=1, unique=True).map(lambda c: tuple(sorted(c)))
+    return scheme, draw(st.none() | subset)
+
+
+@settings(max_examples=300, deadline=None)
+@given(exact_tree_cases())
+@example((STAIRCASE, None))
+@example((one_hot_scheme(9), (0, 2, 3, 5, 8)))
+def test_bounded_search_equals_the_unbounded_search(case):
+    scheme, classes = case
+    depth, root = unbounded_tree(scheme, classes)
+    tree = optimal_decision_tree(scheme, classes)
+    assert tree.depth == depth
+    assert tree.exact
+    assert tree.root == root
+
+
+def test_one_hot_at_the_class_limit_is_fast():
+    # d = n is the paper's worst case: the unbounded search solves all
+    # 2^k - 1 non-empty masks here, about 15 s and 170 MB.
+    scheme = one_hot_scheme(20)
+    optimal_decision_tree.cache_clear()
+    start = time.perf_counter()
+    tree = optimal_decision_tree(scheme)
+    assert time.perf_counter() - start < 0.5
+    assert tree.exact and tree.depth == 19
+
+
+def test_bounded_search_prunes(monkeypatch):
+    # The search reduces each mask it solves once.  The pruned search
+    # solves 67 masks on this scheme; skipping an attribute only when its
+    # bound exceeds the best depth, instead of reaching it, solves 92, and
+    # the unbounded search 505.
+    solved = []
+    reducer = trees._distinct_reducer
+
+    def counting(scheme, start):
+        reduce = reducer(scheme, start)
+        return lambda mask: solved.append(mask) or reduce(mask)
+
+    monkeypatch.setattr(trees, "_distinct_reducer", counting)
+    optimal_decision_tree.cache_clear()
+    tree = optimal_decision_tree(random_injective_scheme(random.Random(8), 24, 8))
+    assert tree.depth == 5
+    assert len(solved) <= 67
+
+
+def test_skip_threshold_inverts_the_bound():
+    for widest in range(1, 13):
+        for depth in range(1, 13):
+            fewest = next(c for c in range(1, 1 << 13) if _depth_bound(c, widest) >= depth)
+            assert _fewest_reaching(depth, widest) == fewest
