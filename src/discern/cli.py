@@ -120,6 +120,8 @@ def _simulate_doc(scheme: Scheme, kind: str, tag_bits: int | None, class_name: s
         strat = StrategyDescriptor.hybrid(tag_bits)
     else:
         strat = StrategyDescriptor(kind)
+    if class_name is not None and class_name not in scheme.class_names:
+        raise UsageError(f"unknown class {class_name!r}")
     indices = range(scheme.k) if class_name is None else [scheme.index_of(class_name)]
     if strat.kind == "adaptive":
         # ``trees`` memoises the adaptive tree, so one ``identify`` per class

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the JSON decoding that
+maps malformed documents onto them."""
+
+import json
 
 
 class ParseError(Exception):
@@ -10,6 +13,17 @@ class ParseError(Exception):
     def __init__(self, message: str, path: str = ""):
         super().__init__(f"{path}: {message}" if path else message)
         self.path = path
+
+
+def decode_json(text: str):
+    """``json.loads``, with every way a document can fail to decode raised
+    as ParseError: malformed JSON, and nesting too deep for the decoder."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ParseError("invalid JSON: nested too deeply to decode") from exc
 
 
 class ValidationError(Exception):

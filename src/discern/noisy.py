@@ -21,9 +21,6 @@ from .trees import DecisionTree, adaptive_tree
 
 RNG_NAME = "numpy-philox"
 MAX_REPETITIONS = 10_000_001
-# The last probe of the doubling search in repetitions_for: the largest
-# 2**m - 1 not above MAX_REPETITIONS.
-_LAST_PROBE = (1 << (MAX_REPETITIONS + 1).bit_length() - 1) - 1
 BLOCK_TRIALS = 65_536
 
 
@@ -58,52 +55,51 @@ class NoiseResult:
 def majority_error(r: int, epsilon: float) -> float:
     """P[majority of r independent BSC(epsilon) samples is wrong], r odd.
 
-    Exact binomial tail, summed in log space so large r stays finite.
+    Exact binomial tail, summed in log space so large r stays finite.  The
+    sum stops at the first term that leaves a positive running total
+    unchanged.  The terms rise to one peak and then fall, and a term
+    before the peak is at least the mean of the terms already summed, so
+    only a term past the peak can be absorbed; every later term is smaller
+    and would be absorbed too.  The result is the full sum, bit for bit.
     """
     if epsilon == 0.0:
         return 0.0
-    total = 0.0
-    for term in _tail_terms(r, epsilon):
-        total += term
-    return min(total, 1.0)
-
-
-def _tail_terms(r: int, epsilon: float):
-    """C(r, i) epsilon^i (1 - epsilon)^(r - i) for i = (r + 1) / 2 .. r,
-    in log space so large r stays finite; epsilon > 0."""
     log_eps = math.log(epsilon)
     log_one = math.log(1.0 - epsilon)
     log_r = math.lgamma(r + 1)
+    total = 0.0
     for i in range(r // 2 + 1, r + 1):
-        yield math.exp(
+        term = math.exp(
             log_r
             - math.lgamma(i + 1)
             - math.lgamma(r - i + 1)
             + i * log_eps
             + (r - i) * log_one
         )
+        if total and total + term == total:
+            break
+        total += term
+    return min(total, 1.0)
 
 
 def repetitions_for(epsilon: float, target: float) -> int:
     """Smallest odd r with majority_error(r, epsilon) <= target.
 
-    An infeasible pair is refused before any tail is summed: the majority
-    error falls with r and is at least its central term, so a central term
-    above the target at the search's last probe means no probe succeeds.
+    Doubling probes r = 3, 7, 15, ... find a passing r, then bisection
+    narrows it to the smallest; a pair is refused as infeasible once the
+    doubling passes ``MAX_REPETITIONS``.  Each probe's tail sum stops at
+    its first absorbed term and is still exact (see ``majority_error``).
     """
     if majority_error(1, epsilon) <= target:
         return 1
-    infeasible = ConfigError(
-        f"no feasible repetition count below {MAX_REPETITIONS} for "
-        f"epsilon={epsilon}, per-node target={target}"
-    )
-    if next(_tail_terms(_LAST_PROBE, epsilon)) > target:
-        raise infeasible
     low, high = 1, 3
     while majority_error(high, epsilon) > target:
         low, high = high, high * 2 + 1
         if high > MAX_REPETITIONS:
-            raise infeasible
+            raise ConfigError(
+                f"no feasible repetition count below {MAX_REPETITIONS} for "
+                f"epsilon={epsilon}, per-node target={target}"
+            )
     # Invariant: low fails, high succeeds; both odd.
     while high - low > 2:
         mid = (low + high) // 2

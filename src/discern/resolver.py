@@ -11,11 +11,10 @@ listings; a config entry holding 0 is skipped, not returned.
 """
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass, field
 
-from .errors import ParseError
+from .errors import ParseError, decode_json
 
 logger = logging.getLogger(__name__)
 
@@ -127,10 +126,7 @@ def parse_scenario(text: str):
     ["s0"], "ctx": {"s0": [{"typ": 1, "value": 5}]}, "obj": {...},
     "lazy": true}.
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from exc
+    doc = decode_json(text)
     if not isinstance(doc, dict):
         raise ParseError("scenario must be a JSON object", "")
 

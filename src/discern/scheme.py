@@ -10,7 +10,7 @@ import json
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ValidationError, decode_json
 
 MASS_SUM_TOLERANCE = 1e-9
 
@@ -83,10 +83,10 @@ class Scheme:
                 f"got {len(self.masses)} masses for {len(self.classes)} classes", "masses"
             )
         for i, m in enumerate(self.masses):
-            if m < 0:
+            if not m >= 0:  # NaN fails too
                 raise ValidationError(f"mass must be nonnegative, got {m}", f"masses[{i}]")
         total = sum(self.masses)
-        if abs(total - 1.0) > MASS_SUM_TOLERANCE:
+        if not abs(total - 1.0) <= MASS_SUM_TOLERANCE:
             raise ValidationError(f"masses sum to {total}, expected 1", "masses")
 
     def __hash__(self) -> int:
@@ -165,10 +165,7 @@ def parse_scheme(text: str, renormalize: bool = False) -> Scheme:
     Masses that do not sum to 1 are rejected unless ``renormalize`` is set;
     they are never rescaled silently.
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from exc
+    doc = decode_json(text)
     _expect(isinstance(doc, dict), "document must be a JSON object", "")
     _expect("attributes" in doc, "missing key", "attributes")
     _expect("classes" in doc, "missing key", "classes")

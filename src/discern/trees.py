@@ -73,10 +73,31 @@ def _candidates(mask: int) -> tuple[int, ...]:
     return tuple(found)
 
 
-def _node_depth(node: TreeNode) -> int:
-    if node.is_leaf:
-        return 0
-    return 1 + max(_node_depth(node.zero), _node_depth(node.one))
+def _grow(start: int, columns, split) -> tuple[TreeNode, int]:
+    """Root and depth of the tree that queries ``split(mask)`` at each
+    candidate mask, None making a leaf; ``split`` runs once per node.
+
+    Iterative, so a tree may be deeper than Python's recursion limit: the
+    masks are laid out in preorder, zero branch first, then the nodes are
+    assembled from the last mask back.
+    """
+    order, pending = [], [start]
+    while pending:
+        mask = pending.pop()
+        attr = split(mask)
+        order.append((mask, attr))
+        if attr is not None:
+            pending += (mask & columns[attr], mask & ~columns[attr])
+    built: list[tuple[TreeNode, int]] = []
+    for mask, attr in reversed(order):
+        if attr is None:
+            built.append((TreeNode(None, _candidates(mask)), 0))
+        else:
+            (zero, zero_depth), (one, one_depth) = built.pop(), built.pop()
+            built.append(
+                (TreeNode(attr, _candidates(mask), zero, one), 1 + max(zero_depth, one_depth))
+            )
+    return built[0]
 
 
 def _distinct_reducer(scheme: Scheme, start: int):
@@ -181,19 +202,8 @@ def optimal_decision_tree(scheme: Scheme, classes=None) -> DecisionTree:
         memo[mask] = (best_depth, best_attr)
         return memo[mask]
 
-    def build(mask: int) -> TreeNode:
-        _, attr = solve(mask)
-        if attr is None:
-            return TreeNode(None, _candidates(mask))
-        return TreeNode(
-            attr,
-            _candidates(mask),
-            zero=build(mask & ~columns[attr]),
-            one=build(mask & columns[attr]),
-        )
-
-    root = build(start)
-    return DecisionTree(root=root, depth=solve(start)[0], exact=True)
+    root, depth = _grow(start, columns, lambda mask: solve(mask)[1])
+    return DecisionTree(root=root, depth=depth, exact=True)
 
 
 @lru_cache(maxsize=256)
@@ -202,7 +212,7 @@ def greedy_decision_tree(scheme: Scheme, classes=None) -> DecisionTree:
     ties go to the lowest attribute index."""
     columns = scheme.column_masks
 
-    def build(mask: int) -> TreeNode:
+    def most_balanced(mask: int) -> int | None:
         best_q, best_balance = None, 0
         size = mask.bit_count()
         for q, col in enumerate(columns):
@@ -210,17 +220,10 @@ def greedy_decision_tree(scheme: Scheme, classes=None) -> DecisionTree:
             balance = min(ones, size - ones)
             if balance > best_balance:
                 best_q, best_balance = q, balance
-        if best_q is None:
-            return TreeNode(None, _candidates(mask))
-        return TreeNode(
-            best_q,
-            _candidates(mask),
-            zero=build(mask & ~columns[best_q]),
-            one=build(mask & columns[best_q]),
-        )
+        return best_q
 
-    root = build(_class_mask(scheme, classes))
-    return DecisionTree(root=root, depth=_node_depth(root), exact=False)
+    root, depth = _grow(_class_mask(scheme, classes), columns, most_balanced)
+    return DecisionTree(root=root, depth=depth, exact=False)
 
 
 def adaptive_tree(scheme: Scheme, classes=None) -> DecisionTree:

@@ -1,5 +1,6 @@
 import json
 import random
+import time
 from pathlib import Path
 
 import pytest
@@ -107,6 +108,54 @@ def test_simulate_nominal_single_class(capsys, fixtures_dir):
 def test_simulate_hybrid_requires_tags(capsys, fixtures_dir):
     code, _ = run_cli(capsys, ["simulate", str(fixtures_dir / "s2.json"), "--strategy", "hybrid"])
     assert code == 1
+
+
+def test_simulate_unknown_class_is_a_usage_error(capsys, fixtures_dir):
+    code = cli.run(["simulate", str(fixtures_dir / "s2.json"), "--strategy", "adaptive", "--class", "NOPE"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: unknown class 'NOPE'\n"
+
+
+@pytest.mark.parametrize("command", ["analyze", "resolve"])
+def test_deeply_nested_json_is_a_parse_error(capsys, tmp_path, command):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    code, out = run_cli(capsys, [command, str(path)])
+    assert code == 2
+    assert json.loads(out) == {
+        "error": {"type": "ParseError", "message": "invalid JSON: nested too deeply to decode"}
+    }
+
+
+def test_nan_mass_is_a_validation_error(capsys, tmp_path):
+    path = tmp_path / "nan.json"
+    path.write_text('{"attributes": ["p"], "classes": [{"name": "A", "profile": [0]}, '
+                    '{"name": "B", "profile": [1]}], "masses": [NaN, 1]}')
+    code, out = run_cli(capsys, ["analyze", str(path)])
+    assert code == 2
+    assert json.loads(out)["error"] == {
+        "type": "ValidationError", "message": "masses[0]: mass must be nonnegative, got nan"
+    }
+
+
+def test_one_hot_tree_deeper_than_the_recursion_limit(capsys, tmp_path):
+    # One-hot k=n=1200: the greedy tree is a 1199-level chain, deeper than
+    # Python's default recursion limit of 1000.  About 5 s on a 2-vCPU host.
+    k = 1200
+    doc = {
+        "attributes": [f"a{q}" for q in range(k)],
+        "classes": [{"name": f"c{c}", "profile": [int(q == c) for q in range(k)]} for c in range(k)],
+    }
+    path = tmp_path / "one_hot.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code, out = run_cli(capsys, ["tradeoff", str(path)])
+    assert time.perf_counter() - start < 30.0
+    assert code == 0
+    adaptive = [p for p in json.loads(out)["points"] if p["strategy"] == "adaptive"]
+    assert adaptive == [{"L": 0, "W": k - 1, "D": 0.0, "strategy": "adaptive"}]
 
 
 def test_simulate_hybrid_with_tags(capsys, fixtures_dir):

@@ -43,6 +43,26 @@ def bernoulli_walk(scheme, cfg):
     return np.array(queries, dtype=float), np.array(errors, dtype=float)
 
 
+def full_tail_sum(r, epsilon):
+    """Reference: every term of the binomial majority-error tail, summed in
+    order, with the same per-term arithmetic as ``majority_error``."""
+    if epsilon == 0.0:
+        return 0.0
+    log_eps = math.log(epsilon)
+    log_one = math.log(1.0 - epsilon)
+    log_r = math.lgamma(r + 1)
+    total = 0.0
+    for i in range(r // 2 + 1, r + 1):
+        total += math.exp(
+            log_r
+            - math.lgamma(i + 1)
+            - math.lgamma(r - i + 1)
+            + i * log_eps
+            + (r - i) * log_one
+        )
+    return min(total, 1.0)
+
+
 @pytest.mark.parametrize(
     "kwargs",
     [
@@ -206,4 +226,39 @@ def test_infeasible_repetitions_rejected_fast():
     assert time.perf_counter() - start < 0.5
     assert str(excinfo.value) == (
         "no feasible repetition count below 10000001 for epsilon=0.4999, per-node target=1e-06"
+    )
+
+
+def test_majority_error_equals_the_full_tail_sum():
+    # The sum stops once a term is absorbed; the value must be the full
+    # sum bit for bit, on either side of 0.5, at 0.5, next to it, and for
+    # tiny epsilon, from r=1 up to r around 100,000.
+    rng = random.Random(20261018)
+    special = (0.5, 0.5 - 1e-9, 0.5 + 1e-9, 0.499, 0.9, 0.999, 1e-3, 1e-12, 1e-300)
+    for _ in range(250):
+        epsilon = rng.choice(special) if rng.random() < 0.3 else rng.uniform(1e-6, 1.0 - 1e-6)
+        r = 2 * int(10 ** rng.uniform(0, 4.7)) + 1
+        assert majority_error(r, epsilon) == full_tail_sum(r, epsilon), (r, epsilon)
+
+
+def test_majority_error_sums_past_leading_underflow():
+    # For epsilon > 0.5 the first terms underflow to 0.0; they leave a zero
+    # total unchanged but must not end the sum.
+    assert full_tail_sum(2001, 0.9) == 1.0
+    assert majority_error(2001, 0.9) == 1.0
+
+
+def test_repetitions_near_half_are_fast():
+    start = time.perf_counter()
+    r = repetitions_for(0.499, 0.005)
+    assert time.perf_counter() - start < 1.0
+    assert r == 1_658_721
+    assert majority_error(r, 0.499) <= 0.005 < majority_error(r - 2, 0.499)
+
+    start = time.perf_counter()
+    with pytest.raises(ConfigError) as excinfo:
+        repetitions_for(0.49999, 1e-3)
+    assert time.perf_counter() - start < 1.0
+    assert str(excinfo.value) == (
+        "no feasible repetition count below 10000001 for epsilon=0.49999, per-node target=0.001"
     )

@@ -61,7 +61,7 @@ def test_duplicate_attribute_names_rejected():
 
 @pytest.mark.parametrize(
     "masses",
-    [[0.7], [0.5, -0.5], [0.6, 0.6]],
+    [[0.7], [0.5, -0.5], [0.6, 0.6], [float("nan"), 1.0]],  # json writes and reads a bare NaN
 )
 def test_bad_masses_rejected(masses):
     doc = json.loads(MINIMAL)
@@ -154,6 +154,9 @@ def test_random_masses_sum_within_tolerance():
 def test_direct_construction_validates():
     with pytest.raises(ValidationError):
         Scheme(("a",), (ClassRecord("A", Profile((0, 1))),))
+    records = (ClassRecord("A", Profile((0,))), ClassRecord("B", Profile((1,))))
+    with pytest.raises(ValidationError):
+        Scheme(("a",), records, (0.5, float("nan")))
     with pytest.raises(ValidationError):
         Profile((0, 2))
     for bit in (1.0, 0.0, True, "1"):
