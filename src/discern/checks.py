@@ -1,10 +1,11 @@
-"""Executable property suite: closure axioms, basis exchange, barrier factoring.
+"""Executable property suite: closure axioms, exchange, barrier factoring.
 
-The closure axioms are mathematically forced by the definition, so any
-failure here indicates a defect and is reported with a counterexample.
-Basis exchange and equal cardinality are claims checked per instance;
-their failures are findings, reported the same way but distinguishable
-by name.
+``check_closure`` builds the cl(X) table once per scheme and checks the
+closure axioms and Steinitz exchange in one pass over it.  The axioms are
+mathematically forced by the definition, so any failure there indicates a
+defect and is reported with a counterexample.  Closure exchange, basis
+exchange and equal cardinality are claims checked per instance; their
+failures are findings, reported the same way but distinguishable by name.
 """
 from __future__ import annotations
 
@@ -27,108 +28,53 @@ class CheckOutcome:
     detail: str | None = None
 
 
-def _closures(scheme: Scheme) -> list[int]:
-    """cl(X) as a mask for every attribute subset X, through ``matroid.closure``."""
-    return [
-        matroid._to_mask(matroid.closure(scheme, matroid._to_set(x)), scheme.n)
-        for x in range(1 << scheme.n)
-    ]
+def check_closure(scheme: Scheme, limit: int = CLOSURE_CHECK_LIMIT) -> list[CheckOutcome]:
+    """Extensivity, monotonicity, idempotence and Steinitz exchange over
+    every attribute subset, in one pass over one cl(X) table built through
+    ``matroid.closure``.
 
-
-def check_closure_axioms(
-    scheme: Scheme, limit: int = CLOSURE_CHECK_LIMIT, closures: list[int] | None = None
-) -> list[CheckOutcome]:
-    """Extensivity, monotonicity, idempotence over every attribute subset.
-
-    ``closures`` is the scheme's ``_closures`` table when the caller has
-    already built it; otherwise it is built here.
+    Monotonicity compares each X with X + {q} only: inclusion of subsets
+    is generated by one-attribute extensions, so the verdict is that of
+    every pair X within Y.  Exchange reports its first counterexample in
+    (X, q', q) order.
     """
-    if scheme.n > limit:
-        reason = f"closure axiom scan limited to n <= {limit}, scheme has n={scheme.n}"
+    names = ("closure-extensive", "closure-monotone", "closure-idempotent", "closure-exchange")
+    extensive, monotone, idempotent, exchange = names
+    n = scheme.n
+    if n > limit:
+        axiom_reason = f"closure axiom scan limited to n <= {limit}, scheme has n={n}"
+        exchange_reason = f"exchange scan limited to n <= {limit}, scheme has n={n}"
+        reasons = (axiom_reason, axiom_reason, axiom_reason, exchange_reason)
         return [
             CheckOutcome(name, ok=True, skipped=True, detail=reason)
-            for name in ("closure-extensive", "closure-monotone", "closure-idempotent")
+            for name, reason in zip(names, reasons)
         ]
-    masks = _closures(scheme) if closures is None else closures
-    outcomes = []
+    cl = [matroid._to_mask(matroid.closure(scheme, matroid._to_set(x)), n) for x in range(1 << n)]
+    found: dict[str, str] = {}  # name -> detail of its first failure
 
-    bad = next((x for x in range(1 << scheme.n) if x & ~masks[x]), None)
-    outcomes.append(
-        CheckOutcome(
-            "closure-extensive",
-            ok=bad is None,
-            detail=None if bad is None else f"X={sorted(matroid._to_set(bad))} not within cl(X)",
-        )
-    )
+    def attrs(mask: int) -> list[int]:
+        return sorted(matroid._to_set(mask))
 
-    bad_pair = None
-    for y in range(1 << scheme.n):
-        x = y
-        while True:
-            if masks[x] & ~masks[y]:
-                bad_pair = (x, y)
-                break
-            if x == 0:
-                break
-            x = (x - 1) & y
-        if bad_pair:
-            break
-    outcomes.append(
-        CheckOutcome(
-            "closure-monotone",
-            ok=bad_pair is None,
-            detail=None
-            if bad_pair is None
-            else f"X={sorted(matroid._to_set(bad_pair[0]))} subset of "
-            f"Y={sorted(matroid._to_set(bad_pair[1]))} but cl(X) exceeds cl(Y)",
-        )
-    )
-
-    bad = next((x for x in range(1 << scheme.n) if masks[masks[x]] != masks[x]), None)
-    outcomes.append(
-        CheckOutcome(
-            "closure-idempotent",
-            ok=bad is None,
-            detail=None if bad is None else f"cl(cl(X)) != cl(X) for X={sorted(matroid._to_set(bad))}",
-        )
-    )
-    return outcomes
-
-
-def check_closure_exchange(
-    scheme: Scheme, limit: int = CLOSURE_CHECK_LIMIT, closures: list[int] | None = None
-) -> CheckOutcome:
-    """Steinitz exchange over the closure operator, exhaustive over subsets.
-
-    This is the instance-level verification of the matroid claim; a failure
-    is a reportable finding about the scheme, not an implementation bug.
-    ``closures`` is as in ``check_closure_axioms``.
-    """
-    if scheme.n > limit:
-        return CheckOutcome(
-            "closure-exchange",
-            ok=True,
-            skipped=True,
-            detail=f"exchange scan limited to n <= {limit}, scheme has n={scheme.n}",
-        )
-    table = _closures(scheme) if closures is None else closures
-    for x in range(1 << scheme.n):
-        cx = table[x]
-        for q2 in range(scheme.n):
-            gained = table[x | (1 << q2)] & ~cx
-            for q in range(scheme.n):
-                if q == q2 or not gained >> q & 1:
-                    continue
-                if not table[x | (1 << q)] >> q2 & 1:
-                    return CheckOutcome(
-                        "closure-exchange",
-                        ok=False,
-                        detail=(
-                            f"q={q} in cl(X + {{{q2}}}) \\ cl(X) but q'={q2} not in "
-                            f"cl(X + {{{q}}}) for X={sorted(matroid._to_set(x))}"
-                        ),
+    for x in range(1 << n):
+        cx = cl[x]
+        if x & ~cx and extensive not in found:
+            found[extensive] = f"X={attrs(x)} not within cl(X)"
+        if cl[cx] != cx and idempotent not in found:
+            found[idempotent] = f"cl(cl(X)) != cl(X) for X={attrs(x)}"
+        for q2 in range(n):
+            y = x | 1 << q2
+            if y == x:
+                continue
+            if cx & ~cl[y] and monotone not in found:
+                found[monotone] = f"X={attrs(x)} subset of Y={attrs(y)} but cl(X) exceeds cl(Y)"
+            gained = cl[y] & ~cx & ~(1 << q2)
+            for q in range(n):
+                if gained >> q & 1 and not cl[x | 1 << q] >> q2 & 1 and exchange not in found:
+                    found[exchange] = (
+                        f"q={q} in cl(X + {{{q2}}}) \\ cl(X) but q'={q2} not in "
+                        f"cl(X + {{{q}}}) for X={attrs(x)}"
                     )
-    return CheckOutcome("closure-exchange", ok=True)
+    return [CheckOutcome(name, ok=name not in found, detail=found.get(name)) for name in names]
 
 
 def check_basis_family(scheme: Scheme, max_n: int = matroid.EXACT_SUBSET_LIMIT) -> list[CheckOutcome]:
@@ -191,9 +137,7 @@ def check_barrier_factoring(scheme: Scheme) -> CheckOutcome:
 
 def check_scheme(scheme: Scheme, closure_limit: int = CLOSURE_CHECK_LIMIT) -> list[CheckOutcome]:
     """Full property run used by the ``check`` CLI command."""
-    closures = _closures(scheme) if scheme.n <= closure_limit else None
-    outcomes = check_closure_axioms(scheme, closure_limit, closures)
-    outcomes.append(check_closure_exchange(scheme, closure_limit, closures))
+    outcomes = check_closure(scheme, closure_limit)
     outcomes.extend(check_basis_family(scheme))
     outcomes.append(check_barrier_factoring(scheme))
     return outcomes

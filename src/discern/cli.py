@@ -361,28 +361,38 @@ def run(argv) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
     except (ParseError, ValidationError, BarrierError, ConfigError, EmptyInputError, OSError, ValueError) as exc:
-        _emit({"error": {"type": type(exc).__name__, "message": str(exc)}}, args)
-        return DATA_EXIT
+        doc, code, csv_text = _error_doc(exc), DATA_EXIT, None
     except LimitError as exc:
-        _emit({"error": {"type": "LimitError", "message": str(exc)}}, args)
-        return LIMIT_EXIT
+        doc, code, csv_text = _error_doc(exc), LIMIT_EXIT, None
 
-    _emit(doc, args)
-    if csv_text is not None and getattr(args, "csv", None):
-        with open(args.csv, "w", encoding="utf-8") as handle:
-            handle.write(csv_text)
+    # The CSV goes first, so an unwritable path stops the run before any
+    # document is written; either failure leaves one error document on stdout.
+    try:
+        if csv_text is not None:
+            _write(args.csv, csv_text)
+        _emit(doc, args, args.output)
+    except OSError as exc:
+        _emit(_error_doc(exc), args, None)
+        return DATA_EXIT
     return code
 
 
-def _emit(doc: dict, args):
-    if getattr(args, "pretty", False):
+def _error_doc(exc: Exception) -> dict:
+    return {"error": {"type": type(exc).__name__, "message": str(exc)}}
+
+
+def _write(path: str, text: str):
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(text)
+
+
+def _emit(doc: dict, args, output: str | None):
+    if args.pretty:
         text = _render_pretty(doc) + "\n"
     else:
         text = json.dumps(doc, indent=2) + "\n"
-    output = getattr(args, "output", None)
     if output:
-        with open(output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        _write(output, text)
     else:
         sys.stdout.write(text)
 

@@ -121,31 +121,33 @@ class LossyBudget:
     envelope: int
 
 
-def _truncated_distortion(scheme: Scheme, tree, depth: int) -> float:
-    def residual_mass(node, budget: int) -> float:
-        if node.is_leaf or budget == 0:
-            masses = [scheme.masses[c] for c in node.candidates]
-            return sum(masses) - max(masses)
-        return residual_mass(node.zero, budget - 1) + residual_mass(node.one, budget - 1)
-
-    return residual_mass(tree.root, depth)
-
-
 def lossy_budget(scheme: Scheme, epsilon: float) -> LossyBudget:
-    """Smallest adaptive-tree truncation depth with distortion <= epsilon."""
+    """Smallest adaptive-tree truncation depth with distortion <= epsilon.
+
+    One level-order pass: the distortion at depth d is the residual mass
+    of the leaves closed above d plus that of every cell on level d.
+    """
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
     tree = adaptive_tree(scheme)
     envelope = math.ceil(math.log2(1.0 / epsilon)) * matroid.block_dimension(
         scheme, range(scheme.k)
     )
+
+    def residual(node) -> float:
+        masses = [scheme.masses[c] for c in node.candidates]
+        return sum(masses) - max(masses)
+
+    closed, level = 0.0, [tree.root]
     for depth in range(tree.depth + 1):
-        distortion = _truncated_distortion(scheme, tree, depth)
+        residuals = [residual(node) for node in level]
+        distortion = closed + sum(residuals)
         if distortion <= epsilon:
             return LossyBudget(depth=depth, distortion=distortion, envelope=envelope)
+        closed += sum(r for r, node in zip(residuals, level) if node.is_leaf)
+        level = [child for node in level if not node.is_leaf for child in (node.zero, node.one)]
     raise BarrierError(
-        f"no truncation reaches distortion {epsilon}; the profile decoder floor is "
-        f"{_truncated_distortion(scheme, tree, tree.depth)}"
+        f"no truncation reaches distortion {epsilon}; the profile decoder floor is {distortion}"
     )
 
 

@@ -244,12 +244,14 @@ def walk(tree: DecisionTree, profile_bits) -> tuple[list[int], TreeNode]:
 
 
 def tree_to_dict(node: TreeNode) -> dict:
-    """Nested JSON-ready form for inspection."""
-    if node.is_leaf:
-        return {"candidates": list(node.candidates)}
-    return {
-        "attribute": node.attribute,
-        "candidates": list(node.candidates),
-        "zero": tree_to_dict(node.zero),
-        "one": tree_to_dict(node.one),
-    }
+    """Nested JSON-ready form for inspection; iterative, so any depth works."""
+    root: dict = {}
+    stack = [(node, root)]
+    while stack:
+        node, doc = stack.pop()
+        if node.is_leaf:
+            doc["candidates"] = list(node.candidates)
+        else:
+            doc.update(attribute=node.attribute, candidates=list(node.candidates), zero={}, one={})
+            stack += ((node.zero, doc["zero"]), (node.one, doc["one"]))
+    return root

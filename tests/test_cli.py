@@ -293,6 +293,25 @@ def test_output_file(capsys, fixtures_dir, tmp_path):
     assert json.loads(target.read_text())["injective"] is True
 
 
+def test_unwritable_output_is_a_data_error(capsys, fixtures_dir, tmp_path):
+    target = tmp_path / "missing" / "out.json"
+    code, out = run_cli(capsys, ["analyze", str(fixtures_dir / "s2.json"), "-o", str(target)])
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "FileNotFoundError"
+    assert not target.exists()
+
+
+def test_unwritable_csv_stops_before_the_document(capsys, fixtures_dir, tmp_path):
+    target = tmp_path / "missing" / "points.csv"
+    code, out = run_cli(
+        capsys, ["tradeoff", str(fixtures_dir / "s2.json"), "--csv", str(target)]
+    )
+    assert code == 2
+    # One error document and nothing before it: the points were never printed.
+    assert list(json.loads(out)) == ["error"]
+    assert json.loads(out)["error"]["type"] == "FileNotFoundError"
+
+
 def count_calls(monkeypatch, module, name) -> list:
     """Wrap ``module.name`` so each call appends its arguments to the returned list."""
     calls = []

@@ -10,6 +10,8 @@ from discern import checks
 from discern.errors import BarrierError, LimitError
 from discern.matroid import (
     SUBSET_TABLE_LIMIT,
+    _to_mask,
+    _to_set,
     block_dimension,
     closure,
     distinguishing_dimension,
@@ -149,7 +151,7 @@ def test_dimension_can_equal_attribute_count():
 @given(seed=st.integers(0, 100_000), k=st.integers(1, 8), n=st.integers(0, 6))
 def test_closure_axioms_always_hold(seed, k, n):
     scheme = random_scheme(random.Random(seed), k, n)
-    for outcome in checks.check_closure_axioms(scheme):
+    for outcome in checks.check_closure(scheme)[:3]:
         assert outcome.ok, outcome.detail
 
 
@@ -189,9 +191,10 @@ def test_block_dimension_matches_literal_definitions(case):
 
 
 def test_closure_exchange_verdicts(s2, s3):
-    assert checks.check_closure_exchange(s2).ok
-    assert checks.check_closure_exchange(s3).ok
-    outcome = checks.check_closure_exchange(EXCHANGE_FAILURE)
+    assert checks.check_closure(s2)[3].ok
+    assert checks.check_closure(s3)[3].ok
+    outcome = checks.check_closure(EXCHANGE_FAILURE)[3]
+    assert outcome.name == "closure-exchange"
     assert not outcome.ok
     assert outcome.detail is not None
 
@@ -203,23 +206,96 @@ def test_closure_exchange_recorded_per_instance():
     verdicts = {True: 0, False: 0}
     for _ in range(50):
         scheme = random_scheme(rng, rng.randint(2, 7), rng.randint(1, 6))
-        outcome = checks.check_closure_exchange(scheme)
+        outcome = checks.check_closure(scheme)[3]
         verdicts[outcome.ok] += 1
         if not outcome.ok:
             assert "cl(X" in outcome.detail
     assert verdicts[True] > 0
 
 
-def test_check_scheme_builds_the_closure_table_once(monkeypatch):
-    built = []
-    build = checks._closures
-    monkeypatch.setattr(checks, "_closures", lambda scheme: built.append(1) or build(scheme))
+def test_check_closure_skips_above_the_limit():
+    scheme = random_scheme(random.Random(4), 5, 4)
+    outcomes = checks.check_closure(scheme, limit=3)
+    assert [o.name for o in outcomes] == [
+        "closure-extensive",
+        "closure-monotone",
+        "closure-idempotent",
+        "closure-exchange",
+    ]
+    assert all(o.ok and o.skipped for o in outcomes)
+    axiom = "closure axiom scan limited to n <= 3, scheme has n=4"
+    exchange = "exchange scan limited to n <= 3, scheme has n=4"
+    assert [o.detail for o in outcomes] == [axiom, axiom, axiom, exchange]
+
+
+def test_check_scheme_calls_closure_once_per_subset(monkeypatch):
+    calls = []
+    real = checks.matroid.closure
+    monkeypatch.setattr(
+        checks.matroid, "closure", lambda scheme, X: calls.append(X) or real(scheme, X)
+    )
     outcomes = checks.check_scheme(EXCHANGE_FAILURE)
-    assert len(built) == 1
-    alone = checks.check_closure_axioms(EXCHANGE_FAILURE)
-    alone.append(checks.check_closure_exchange(EXCHANGE_FAILURE))
-    assert outcomes[:4] == alone and not alone[3].ok
-    assert len(built) == 3
+    assert len(calls) == 1 << EXCHANGE_FAILURE.n
+    subsets = itertools.chain.from_iterable(
+        itertools.combinations(range(EXCHANGE_FAILURE.n), size)
+        for size in range(EXCHANGE_FAILURE.n + 1)
+    )
+    assert set(calls) == {frozenset(subset) for subset in subsets}
+    assert outcomes[:4] == checks.check_closure(EXCHANGE_FAILURE)
+    assert not outcomes[3].ok
+
+
+def patch_closure_table(monkeypatch, table):
+    """Make ``matroid.closure`` read cl(X) from ``table``, indexed by the mask of X."""
+
+    def tabled(scheme, X):
+        return _to_set(table[_to_mask(X, scheme.n)])
+
+    monkeypatch.setattr(checks.matroid, "closure", tabled)
+
+
+def submask_monotone(table, n: int) -> bool:
+    """Oracle: cl(X) within cl(Y) for every X within Y, walking every submask of every Y."""
+    for y in range(1 << n):
+        x = y
+        while True:
+            if table[x] & ~table[y]:
+                return False
+            if x == 0:
+                break
+            x = (x - 1) & y
+    return True
+
+
+def test_non_monotone_operator_fails_only_monotonicity(monkeypatch):
+    # Extensive and idempotent, but cl({0}) = {0, 1} is not within cl({0, 2}) = {0, 2}.
+    table = list(range(8))
+    table[0b001] = 0b011
+    patch_closure_table(monkeypatch, table)
+    scheme = scheme_from_profiles([(0, 0, 0), (1, 1, 1)])
+    extensive, monotone, idempotent, exchange = checks.check_closure(scheme)
+    assert extensive.ok and idempotent.ok
+    assert not monotone.ok
+    assert monotone.detail == "X=[0] subset of Y=[0, 2] but cl(X) exceeds cl(Y)"
+    assert not exchange.ok
+
+
+def test_monotone_verdict_matches_submask_scan(monkeypatch):
+    rng = random.Random(2026)
+    verdicts = {True: 0, False: 0}
+    for _ in range(300):
+        n = rng.randint(0, 6)
+        scheme = random_scheme(rng, rng.randint(1, 8), n)
+        table = [_to_mask(closure(scheme, _to_set(x)), n) for x in range(1 << n)]
+        if n and rng.random() < 0.5:
+            table[rng.randrange(1 << n)] ^= 1 << rng.randrange(n)
+        expected = submask_monotone(table, n)
+        with monkeypatch.context() as patch:
+            patch_closure_table(patch, table)
+            monotone = checks.check_closure(scheme)[1]
+        assert monotone.ok == expected, (n, table, monotone.detail)
+        verdicts[expected] += 1
+    assert verdicts[True] > 0 and verdicts[False] > 0
 
 
 def test_unequal_bases_are_reported_not_suppressed():

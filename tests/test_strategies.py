@@ -1,6 +1,8 @@
 import itertools
+import json
 import math
 import random
+import sys
 import time
 
 import pytest
@@ -261,6 +263,41 @@ def test_tree_serialization(s2):
     assert doc["attribute"] in (0, 1)
     assert doc["candidates"] == [0, 1, 2, 3]
     assert "zero" in doc and "one" in doc
+
+
+def recursive_tree_to_dict(node) -> dict:
+    """Reference: the nested form built by recursion."""
+    if node.is_leaf:
+        return {"candidates": list(node.candidates)}
+    return {
+        "attribute": node.attribute,
+        "candidates": list(node.candidates),
+        "zero": recursive_tree_to_dict(node.zero),
+        "one": recursive_tree_to_dict(node.one),
+    }
+
+
+def test_tree_serialization_matches_recursive_reference():
+    rng = random.Random(61)
+    for _ in range(30):
+        k = rng.randint(1, 10)
+        scheme = random_scheme(rng, k, max(rng.randint(0, 6), (k - 1).bit_length()))
+        for tree in (optimal_decision_tree(scheme), greedy_decision_tree(scheme)):
+            doc = tree_to_dict(tree.root)
+            # Equal key order too, so the JSON text is the same.
+            assert json.dumps(doc) == json.dumps(recursive_tree_to_dict(tree.root))
+
+
+def test_tree_serialization_deeper_than_the_recursion_limit():
+    depth = sys.getrecursionlimit() + 100
+    node = TreeNode(None, (depth,))
+    for c in reversed(range(depth)):
+        node = TreeNode(c, tuple(range(c, depth + 1)), TreeNode(None, (c,)), node)
+    doc = tree_to_dict(node)
+    for c in range(depth):
+        assert (doc["attribute"], doc["zero"]) == (c, {"candidates": [c]})
+        doc = doc["one"]
+    assert doc == {"candidates": [depth]}
 
 
 def brute_force_decoder_minimum(scheme) -> float:

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -24,6 +25,7 @@ from discern.tradeoff import (
     lossy_budget,
     pareto_frontier,
 )
+from discern.trees import adaptive_tree
 
 
 def point(L, W, D, kind="exhaustive", bits=0):
@@ -249,6 +251,55 @@ def test_lossy_budget_matches_oracle():
         assert result.distortion <= eps
         if result.depth > 0:
             assert truncation_oracle(scheme, result.depth - 1) > eps
+
+
+def recursive_truncated_distortion(scheme, tree, depth: int) -> float:
+    """Reference: residual mass of the tree cut at ``depth``, summed by recursion."""
+
+    def residual_mass(node, budget: int) -> float:
+        if node.is_leaf or budget == 0:
+            masses = [scheme.masses[c] for c in node.candidates]
+            return sum(masses) - max(masses)
+        return residual_mass(node.zero, budget - 1) + residual_mass(node.one, budget - 1)
+
+    return residual_mass(tree.root, depth)
+
+
+def test_lossy_budget_matches_recursive_reference():
+    rng = random.Random(808)
+    for _ in range(300):
+        make = rng.choice([random_scheme, random_injective_scheme, random_colliding_scheme])
+        k = rng.randint(2, 12)
+        n = rng.randint(max(1, (k - 1).bit_length()), 8)
+        scheme = make(rng, k, n, with_masses=rng.random() < 0.5)
+        eps = rng.choice([1e-3, 0.05, 0.2, 0.5, 0.9])
+        tree = adaptive_tree(scheme)
+        expected = next(
+            (d for d in range(tree.depth + 1)
+             if recursive_truncated_distortion(scheme, tree, d) <= eps),
+            None,
+        )
+        try:
+            result = lossy_budget(scheme, eps)
+        except BarrierError as exc:
+            assert expected is None
+            floor = float(str(exc).rsplit(" ", 1)[1])
+            assert floor == pytest.approx(
+                recursive_truncated_distortion(scheme, tree, tree.depth), abs=1e-12
+            )
+            continue
+        assert result.depth == expected
+        assert result.distortion == pytest.approx(
+            recursive_truncated_distortion(scheme, tree, expected), abs=1e-12
+        )
+
+
+def test_lossy_budget_on_a_tree_deeper_than_the_recursion_limit():
+    k = 1100
+    scheme = scheme_from_profiles([tuple(int(i == j) for j in range(k)) for i in range(k)])
+    assert adaptive_tree(scheme).depth == k - 1 > sys.getrecursionlimit()
+    result = lossy_budget(scheme, 1e-4)
+    assert (result.depth, result.distortion) == (k - 1, 0.0)
 
 
 def test_lossy_budget_precondition(s2):
