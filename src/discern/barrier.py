@@ -28,16 +28,12 @@ class CapacityResult:
 
 def quotient(scheme: Scheme) -> tuple[tuple[int, ...], ...]:
     """Partition class indices by profile, blocks ordered by smallest member."""
-    blocks: dict[int, list[int]] = {}
-    for c, key in enumerate(scheme.profile_ints):
-        blocks.setdefault(key, []).append(c)
-    ordered = sorted(blocks.values(), key=lambda block: block[0])
-    return tuple(tuple(block) for block in ordered)
+    return scheme.quotient
 
 
 def collisions(scheme: Scheme) -> CollisionReport:
     """Report every profile shared by two or more classes."""
-    groups = tuple(block for block in quotient(scheme) if len(block) >= 2)
+    groups = tuple(block for block in scheme.quotient if len(block) >= 2)
     return CollisionReport(groups=groups, injective=not groups)
 
 
@@ -59,8 +55,5 @@ def information_loss(scheme: Scheme) -> float:
     Zero exactly when profiles are injective on the classes carrying
     positive mass.
     """
-    class_entropy = _entropy(scheme.masses)
-    profile_mass: dict[int, float] = {}
-    for c, key in enumerate(scheme.profile_ints):
-        profile_mass[key] = profile_mass.get(key, 0.0) + scheme.masses[c]
-    return class_entropy - _entropy(profile_mass.values())
+    profile_masses = (sum(scheme.masses[c] for c in block) for block in scheme.quotient)
+    return _entropy(scheme.masses) - _entropy(profile_masses)

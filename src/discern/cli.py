@@ -94,13 +94,6 @@ def _tradeoff_doc(scheme: Scheme, tags) -> dict:
     return doc
 
 
-def _tradeoff_csv(doc: dict) -> str:
-    lines = ["L,W,D,strategy"]
-    for point in doc["points"]:
-        lines.append(f"{point['L']},{point['W']},{point['D']},{point['strategy']}")
-    return "\n".join(lines) + "\n"
-
-
 def _transcript_doc(scheme: Scheme, transcript) -> dict:
     queries = [
         q if isinstance(q, str) else scheme.attributes[q] for q in transcript.queries
@@ -155,13 +148,10 @@ def _noise_result_doc(result: noisy.NoiseResult, epsilon: float, delta: float, t
     }
 
 
-def _noise_csv(rows) -> str:
-    lines = ["epsilon,delta,mean_queries,empirical_error,reference_bound"]
-    for row in rows:
-        lines.append(
-            f"{row['epsilon']},{row['delta']},{row['mean_queries']},"
-            f"{row['empirical_error']},{row['reference_bound']}"
-        )
+def _csv(rows, fields) -> str:
+    """A header line of ``fields``, then one line of those values per row."""
+    lines = [",".join(fields)]
+    lines += (",".join(str(row[f]) for f in fields) for row in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -324,7 +314,7 @@ def _dispatch(args) -> tuple[dict, int, str | None]:
         return _bases_doc(scheme, args.max_n), 0, None
     if args.command == "tradeoff":
         doc = _tradeoff_doc(scheme, tuple(args.tags or ()))
-        return doc, 0, _tradeoff_csv(doc) if args.csv else None
+        return doc, 0, _csv(doc["points"], ("L", "W", "D", "strategy")) if args.csv else None
     if args.command == "simulate":
         if args.strategy == "hybrid" and args.tags is None:
             raise UsageError("--tags is required for the hybrid strategy")
@@ -338,7 +328,8 @@ def _dispatch(args) -> tuple[dict, int, str | None]:
             else:
                 result = noisy.simulate_noisy_identification(scheme, cfg)
             rows.append(_noise_result_doc(result, eps, args.delta, args.trials))
-        return {"results": rows}, 0, _noise_csv(rows) if args.csv else None
+        fields = ("epsilon", "delta", "mean_queries", "empirical_error", "reference_bound")
+        return {"results": rows}, 0, _csv(rows, fields) if args.csv else None
     if args.command == "check":
         doc, code = _check_doc(scheme, args.closure_limit)
         return doc, code, None

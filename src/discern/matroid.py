@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .barrier import collisions
 from .errors import BarrierError, LimitError
 from .scheme import Scheme
 
@@ -33,7 +34,8 @@ class MatroidReport:
     dimension: int
     exchange_ok: bool
     equal_cardinality_ok: bool
-    counterexample: str | None
+    counterexample: str | None  # the cardinality failure if any, else the exchange one
+    exchange_counterexample: str | None
 
 
 @dataclass(frozen=True)
@@ -129,7 +131,7 @@ def is_distinguishing(scheme: Scheme, S) -> bool:
 
 
 def _require_injective(scheme: Scheme):
-    if not separates(scheme.profile_ints, (1 << scheme.n) - 1):
+    if not collisions(scheme).injective:
         raise BarrierError(
             "scheme has colliding profiles; no distinguishing set exists"
         )
@@ -166,8 +168,9 @@ def enumerate_minimal_distinguishing(scheme: Scheme, max_n: int = EXACT_SUBSET_L
     """Exhaustively enumerate inclusion-minimal distinguishing sets.
 
     Also runs the basis-exchange and equal-cardinality checks over the
-    enumerated family; a failure populates ``counterexample`` rather than
-    raising, since both claims are verified per instance.
+    enumerated family; a failure populates ``counterexample`` (an exchange
+    failure also ``exchange_counterexample``) rather than raising, since
+    both claims are verified per instance.
     """
     _require_injective(scheme)
     if scheme.n > max_n:
@@ -197,17 +200,18 @@ def enumerate_minimal_distinguishing(scheme: Scheme, max_n: int = EXACT_SUBSET_L
         ),
         None,
     )
-    exchange_ok = failure is None
-    if failure and counterexample is None:
+    exchange_counterexample = None
+    if failure:
         b1, b2, q = failure
-        counterexample = f"exchange fails for B1={sorted(b1)}, B2={sorted(b2)}, q={q}"
+        exchange_counterexample = f"exchange fails for B1={sorted(b1)}, B2={sorted(b2)}, q={q}"
 
     return MatroidReport(
         bases=tuple(bases),
         dimension=dimension,
-        exchange_ok=exchange_ok,
+        exchange_ok=failure is None,
         equal_cardinality_ok=equal_cardinality_ok,
-        counterexample=counterexample,
+        counterexample=counterexample or exchange_counterexample,
+        exchange_counterexample=exchange_counterexample,
     )
 
 

@@ -133,6 +133,15 @@ class Scheme:
             masks.append(mask)
         return tuple(masks)
 
+    @cached_property
+    def quotient(self) -> tuple[tuple[int, ...], ...]:
+        """Class indices grouped by profile: each block ascending, blocks
+        ordered by their smallest member (a profile's first appearance)."""
+        blocks: dict[int, list[int]] = {}
+        for c, key in enumerate(self.profile_ints):
+            blocks.setdefault(key, []).append(c)
+        return tuple(map(tuple, blocks.values()))
+
     def index_of(self, class_name: str) -> int:
         for i, record in enumerate(self.classes):
             if record.name == class_name:

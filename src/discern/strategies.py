@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import matroid
-from .barrier import quotient
 from .scheme import Scheme
 from .trees import adaptive_tree, walk
 
@@ -81,8 +80,7 @@ class Transcript:
 
 def _profile_units(scheme: Scheme) -> list[tuple[int, ...]]:
     """Profile-quotient blocks ordered by profile bits (ties by index)."""
-    blocks = quotient(scheme)
-    return sorted(blocks, key=lambda b: (scheme.classes[b[0]].profile.bits, b[0]))
+    return sorted(scheme.quotient, key=lambda b: (scheme.classes[b[0]].profile.bits, b[0]))
 
 
 def _group_dimension(scheme: Scheme, members: frozenset, dim_cache: dict) -> int:
@@ -228,16 +226,11 @@ def hybrid_tag_plan(scheme: Scheme, L: int) -> TagPlan:
     )
 
 
-def _decode(candidates) -> tuple[int, bool]:
-    ordered = sorted(candidates)
-    return ordered[0], len(ordered) > 1
-
-
 def _walk_transcript(scheme: Scheme, tree, c: int, prefix: tuple = ()) -> Transcript:
     """Transcript of class ``c`` walking ``tree`` after the ``prefix`` queries."""
     queried, leaf = walk(tree, scheme.classes[c].profile.bits)
-    output, undecided = _decode(leaf.candidates)
-    return Transcript((*prefix, *queried), output, len(prefix) + len(queried), undecided)
+    queries = (*prefix, *queried)
+    return Transcript(queries, leaf.candidates[0], len(queries), len(leaf.candidates) > 1)
 
 
 def identify_all(scheme: Scheme, strat: StrategyDescriptor, class_indices) -> list[Transcript]:
@@ -246,8 +239,9 @@ def identify_all(scheme: Scheme, strat: StrategyDescriptor, class_indices) -> li
     The plan is computed once per call and shared by every class: the
     adaptive tree of the scheme for ``adaptive``; for ``hybrid`` the
     ``tag_partition`` groups plus one adaptive tree per non-singleton
-    group that a requested class falls in; for ``exhaustive`` one scan
-    that lists the classes sharing each requested profile.
+    group that a requested class falls in; for ``exhaustive`` the
+    scheme's profile quotient, decoding each class to its block's least
+    member.
     """
     class_indices = list(class_indices)
     for c in class_indices:
@@ -262,15 +256,11 @@ def identify_all(scheme: Scheme, strat: StrategyDescriptor, class_indices) -> li
         return [Transcript((TAG_READ,), c, 1) for c in class_indices]
 
     if strat.kind == "exhaustive":
-        matches: dict[int, list[int]] = {scheme.profile_ints[c]: [] for c in class_indices}
-        for m, p in enumerate(scheme.profile_ints):
-            if p in matches:
-                matches[p].append(m)
-        transcripts = []
-        for c in class_indices:
-            output, undecided = _decode(matches[scheme.profile_ints[c]])
-            transcripts.append(Transcript(tuple(range(scheme.n)), output, scheme.n, undecided))
-        return transcripts
+        block_of = {c: block for block in scheme.quotient for c in block}
+        return [
+            Transcript(tuple(range(scheme.n)), block_of[c][0], scheme.n, len(block_of[c]) > 1)
+            for c in class_indices
+        ]
 
     if strat.kind == "adaptive":
         tree = adaptive_tree(scheme)
@@ -335,6 +325,8 @@ def decode_distortion(scheme: Scheme, groups=None) -> float:
     Summing each cell's residual mass rather than subtracting from 1 keeps
     the value exactly 0.0 on injective cells.
     """
+    # Groups its own cells: a tag group cuts quotient blocks, and summing
+    # cells in each group's own order is the float order pinned outputs hold.
     residual = 0.0
     for group in (range(scheme.k),) if groups is None else groups:
         cells: dict[int, list[float]] = {}

@@ -107,6 +107,8 @@ def _distinct_reducer(scheme: Scheme, start: int):
     mask has the same splitting attributes and counts distinct profiles
     by its bits.
     """
+    # Its own grouping: O(members) per start mask, where filtering
+    # ``scheme.quotient`` to a hybrid group would touch all k classes.
     shared: dict[int, int] = {}
     for c in _candidates(start):
         p = scheme.profile_ints[c]

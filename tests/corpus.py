@@ -51,6 +51,20 @@ def random_colliding_scheme(rng: random.Random, k: int, n: int, with_masses: boo
     return scheme_from_profiles(profiles, masses)
 
 
+def seeded_schemes(seed: int, count: int, with_masses: bool = False):
+    """``count`` small schemes, in turn injective, colliding and random
+    over few attributes (so mostly colliding too)."""
+    rng = random.Random(seed)
+    for i in range(count):
+        k = rng.randint(1, 14)
+        if i % 3 == 0:
+            yield random_injective_scheme(rng, k, rng.randint((k - 1).bit_length(), 6), with_masses)
+        elif i % 3 == 1 and k >= 2:
+            yield random_colliding_scheme(rng, k, rng.randint(0, 5), with_masses)
+        else:
+            yield random_scheme(rng, k, rng.randint(0, 3), with_masses)
+
+
 def table1_scheme(seed: int = 1001, k: int = 1000, n: int = 50) -> Scheme:
     """Seeded injective scheme matching the 1000-classes/50-attributes example."""
     rng = random.Random(seed)

@@ -67,12 +67,12 @@ def test_bases_table_too_wide_is_a_limit_error(capsys, tmp_path):
 def test_tradeoff_csv(capsys, fixtures_dir, tmp_path):
     csv_path = tmp_path / "points.csv"
     code, out = run_cli(
-        capsys, ["tradeoff", str(fixtures_dir / "s2.json"), "--csv", str(csv_path)]
+        capsys, ["tradeoff", str(fixtures_dir / "s2.json"), "--tags", "1", "--csv", str(csv_path)]
     )
     assert code == 0
-    lines = csv_path.read_text().splitlines()
-    assert lines[0] == "L,W,D,strategy"
-    assert "2,1,0.0,nominal" in lines
+    assert csv_path.read_bytes() == (
+        b"L,W,D,strategy\n2,1,0.0,nominal\n0,2,0.0,exhaustive\n0,2,0.0,adaptive\n1,2,0.0,hybrid\n"
+    )
 
 
 def test_tradeoff_with_tags(capsys, fixtures_dir):
@@ -195,9 +195,11 @@ def test_simulate_noise_deterministic(capsys, fixtures_dir, tmp_path):
     assert out1 == out2
     rows = json.loads(out1)["results"]
     assert [r["epsilon"] for r in rows] == [0.05, 0.1]
-    csv_lines = (tmp_path / "noise.csv").read_text().splitlines()
-    assert csv_lines[0] == "epsilon,delta,mean_queries,empirical_error,reference_bound"
-    assert len(csv_lines) == 3
+    assert (tmp_path / "noise.csv").read_bytes() == (
+        b"epsilon,delta,mean_queries,empirical_error,reference_bound\n"
+        b"0.05,0.01,10.0,0.005,5.6853952913433226\n"
+        b"0.1,0.01,14.0,0.01,7.195578415606392\n"
+    )
 
 
 def test_simulate_noise_bad_epsilon(capsys, fixtures_dir):

@@ -310,6 +310,41 @@ def test_unequal_bases_are_reported_not_suppressed():
     assert greedy_dimension(UNEQUAL_BASES) == 3
 
 
+def test_basis_family_gives_each_failure_its_own_counterexample():
+    cardinality, exchange = checks.check_basis_family(UNEQUAL_BASES)
+    assert not cardinality.ok
+    assert cardinality.detail == "minimal distinguishing sets of unequal size: [0, 1] vs [0, 3, 5]"
+    assert not exchange.ok
+    assert exchange.detail == "exchange fails for B1=[0, 1], B2=[0, 3, 5], q=1"
+    # The bases output keeps the cardinality failure as its one counterexample.
+    assert enumerate_minimal_distinguishing(UNEQUAL_BASES).counterexample == cardinality.detail
+
+
+def test_basis_family_counterexamples_name_their_own_claim():
+    rng = random.Random(3)
+    both = 0
+    for _ in range(400):
+        k = rng.randint(2, 12)
+        scheme = random_injective_scheme(rng, k, rng.randint((k - 1).bit_length(), 8))
+        report = enumerate_minimal_distinguishing(scheme)
+        bases = set(report.bases)
+        cardinality, exchange = checks.check_basis_family(scheme)
+        assert cardinality.ok == (len({len(b) for b in bases}) == 1)
+        if not cardinality.ok:
+            assert cardinality.detail.startswith("minimal distinguishing sets of unequal size: ")
+        failures = [
+            f"exchange fails for B1={sorted(b1)}, B2={sorted(b2)}, q={q}"
+            for b1 in report.bases
+            for b2 in report.bases
+            for q in sorted(b1 - b2)
+            if not any((b1 - {q}) | {q2} in bases for q2 in b2 - b1)
+        ]
+        assert exchange.ok == (not failures)
+        assert exchange.detail == (failures[0] if failures else None)
+        both += not cardinality.ok and not exchange.ok
+    assert both > 0
+
+
 def test_exact_dimension_matches_brute_force():
     rng = random.Random(7)
     for _ in range(40):

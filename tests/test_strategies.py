@@ -13,6 +13,7 @@ from corpus import (
     random_injective_scheme,
     random_scheme,
     scheme_from_profiles,
+    seeded_schemes,
     table1_scheme,
 )
 from discern import strategies, trees
@@ -581,3 +582,15 @@ def test_skip_threshold_inverts_the_bound():
         for depth in range(1, 13):
             fewest = next(c for c in range(1, 1 << 13) if _depth_bound(c, widest) >= depth)
             assert _fewest_reaching(depth, widest) == fewest
+
+
+def test_exhaustive_identify_all_matches_a_profile_scan():
+    rng = random.Random(34)
+    for scheme in seeded_schemes(33, 120):
+        order = rng.sample(range(scheme.k), rng.randint(1, scheme.k))
+        found = identify_all(scheme, StrategyDescriptor.exhaustive(), order)
+        for c, t in zip(order, found):
+            same = [m for m in range(scheme.k) if scheme.classes[m].profile == scheme.classes[c].profile]
+            assert t.output == min(same)
+            assert t.undecided == (len(same) > 1)
+            assert t.queries == tuple(range(scheme.n)) and t.query_count == scheme.n
