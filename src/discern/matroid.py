@@ -100,10 +100,8 @@ def _smallest_separating_mask(profiles, n: int, exact_limit: int) -> tuple[int, 
 
 def x_equivalent(scheme: Scheme, X, c1: int, c2: int) -> bool:
     """True iff the two classes agree on every attribute in X."""
-    if not 0 <= c1 < scheme.k or not 0 <= c2 < scheme.k:
-        raise IndexError(f"class index out of range for k={scheme.k}")
-    x_mask = _to_mask(X, scheme.n)
-    return (scheme.profile_ints[c1] ^ scheme.profile_ints[c2]) & x_mask == 0
+    p1, p2 = (scheme.profile_ints[scheme.check_class(c)] for c in (c1, c2))
+    return (p1 ^ p2) & _to_mask(X, scheme.n) == 0
 
 
 def closure(scheme: Scheme, X) -> frozenset[int]:

@@ -2,7 +2,9 @@
 
 A scheme is k named classes over n binary attributes, plus an optional
 probability mass per class.  Every analysis in this package consumes a
-validated, immutable ``Scheme``.
+validated, immutable ``Scheme``.  Each rule lives in one place:
+``parse_scheme`` checks the JSON shape, ``Profile`` checks the bits, and
+``Scheme`` checks lengths, names, masses and class indices.
 """
 from __future__ import annotations
 
@@ -113,7 +115,7 @@ class Scheme:
     def n(self) -> int:
         return len(self.attributes)
 
-    @property
+    @cached_property
     def class_names(self) -> tuple[str, ...]:
         return tuple(c.name for c in self.classes)
 
@@ -142,6 +144,13 @@ class Scheme:
             blocks.setdefault(key, []).append(c)
         return tuple(map(tuple, blocks.values()))
 
+    def check_class(self, class_index: int) -> int:
+        """Return ``class_index``; IndexError outside 0 <= class_index < k
+        (negative indexing is deliberately not supported)."""
+        if not 0 <= class_index < self.k:
+            raise IndexError(f"class index {class_index} out of range for k={self.k}")
+        return class_index
+
     def index_of(self, class_name: str) -> int:
         for i, record in enumerate(self.classes):
             if record.name == class_name:
@@ -152,17 +161,21 @@ class Scheme:
 def profile_of(scheme: Scheme, class_index: int) -> Profile:
     """Return the stored profile of one class; no recomputation.
 
-    Raises IndexError outside 0 <= class_index < k (negative indexing is
-    deliberately not supported).
+    Raises IndexError as ``Scheme.check_class`` does.
     """
-    if not 0 <= class_index < scheme.k:
-        raise IndexError(f"class index {class_index} out of range for k={scheme.k}")
-    return scheme.classes[class_index].profile
+    return scheme.classes[scheme.check_class(class_index)].profile
 
 
 def _expect(condition: bool, message: str, path: str):
     if not condition:
         raise ParseError(message, path)
+
+
+def _expect_each(items: list, types, message: str, path: str):
+    """One ``_expect`` for a whole array: every item is of ``types`` and not
+    a bool; ``path[i]`` names the first item that is not."""
+    bad = next((i for i, x in enumerate(items) if not isinstance(x, types) or isinstance(x, bool)), None)
+    _expect(bad is None, message, f"{path}[{bad}]")
 
 
 def parse_scheme(text: str, renormalize: bool = False) -> Scheme:
@@ -183,8 +196,7 @@ def parse_scheme(text: str, renormalize: bool = False) -> Scheme:
 
     raw_attributes = doc["attributes"]
     _expect(isinstance(raw_attributes, list), "must be an array", "attributes")
-    for i, name in enumerate(raw_attributes):
-        _expect(isinstance(name, str), "attribute name must be a string", f"attributes[{i}]")
+    _expect_each(raw_attributes, str, "attribute name must be a string", "attributes")
 
     raw_classes = doc["classes"]
     _expect(isinstance(raw_classes, list), "must be an array", "classes")
@@ -196,27 +208,19 @@ def parse_scheme(text: str, renormalize: bool = False) -> Scheme:
         _expect(isinstance(entry["name"], str), "class name must be a string", f"classes[{i}].name")
         raw_profile = entry["profile"]
         _expect(isinstance(raw_profile, list), "profile must be an array", f"classes[{i}].profile")
-        for j, b in enumerate(raw_profile):
-            _expect(
-                isinstance(b, int) and not isinstance(b, bool),
-                "profile entry must be an integer",
-                f"classes[{i}].profile[{j}]",
-            )
         try:
             records.append(ClassRecord(entry["name"], Profile(tuple(raw_profile))))
         except ValidationError as exc:
+            # ``Profile`` checks the bits; only a refused profile is searched
+            # for the non-integer entry that outranks its error.
+            _expect_each(raw_profile, int, "profile entry must be an integer", f"classes[{i}].profile")
             raise ValidationError(exc.message, f"classes[{i}].{exc.path}") from exc
 
     masses: tuple[float, ...] = ()
     if "masses" in doc:
         raw_masses = doc["masses"]
         _expect(isinstance(raw_masses, list), "must be an array", "masses")
-        for i, m in enumerate(raw_masses):
-            _expect(
-                isinstance(m, (int, float)) and not isinstance(m, bool),
-                "mass must be a number",
-                f"masses[{i}]",
-            )
+        _expect_each(raw_masses, (int, float), "mass must be a number", "masses")
         masses = tuple(float(m) for m in raw_masses)
         if renormalize and masses:
             total = sum(masses)

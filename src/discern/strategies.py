@@ -102,6 +102,8 @@ def tag_partition(
     search keeps the block dimension of every member set it tries in
     ``dim_cache`` (a fresh dict if none is given), the final groups' too.
     """
+    if tag_bits < 0:
+        raise ValueError("tag bits must be >= 0")
     k = scheme.k
     if tag_bits >= tag_bits_for(k):
         return tuple((c,) for c in range(k))
@@ -205,8 +207,6 @@ def hybrid_tag_plan(scheme: Scheme, L: int) -> TagPlan:
     a reference and both values are reported.  Both searches and the
     plan's own dimension share one block-dimension cache.
     """
-    if L < 0:
-        raise ValueError("tag bits must be >= 0")
     dim_cache: dict[frozenset, int] = {}
     groups = tag_partition(scheme, L, dim_cache=dim_cache)
     plan_dim = max((_group_dimension(scheme, frozenset(g), dim_cache) for g in groups), default=0)
@@ -243,10 +243,7 @@ def identify_all(scheme: Scheme, strat: StrategyDescriptor, class_indices) -> li
     scheme's profile quotient, decoding each class to its block's least
     member.
     """
-    class_indices = list(class_indices)
-    for c in class_indices:
-        if not 0 <= c < scheme.k:
-            raise IndexError(f"class index {c} out of range for k={scheme.k}")
+    class_indices = [scheme.check_class(c) for c in class_indices]
 
     if strat.kind == "nominal":
         if strat.tag_bits != tag_bits_for(scheme.k):

@@ -54,9 +54,7 @@ def _class_mask(scheme: Scheme, classes) -> int:
         return (1 << scheme.k) - 1
     mask = 0
     for c in classes:
-        if not 0 <= c < scheme.k:
-            raise IndexError(f"class index {c} out of range for k={scheme.k}")
-        mask |= 1 << c
+        mask |= 1 << scheme.check_class(c)
     return mask
 
 

@@ -394,18 +394,23 @@ def test_pinned_outputs(capsys, fixtures_dir, command, scheme, expected_code):
 
 
 @pytest.mark.parametrize(
-    "profiles, message",
+    "profiles, message, error_type",
     [
-        ([[0, 1], [0, 2]], "classes[1].profile[1]: profile bit must be 0 or 1, got 2"),
-        ([[-1, 0], [0, 1]], "classes[0].profile[0]: profile bit must be 0 or 1, got -1"),
-        ([[0, 1], [0, 1, 1]], "classes[1].profile: profile has length 3, expected 2"),
-        ([[0], [0, 1]], "classes[0].profile: profile has length 1, expected 2"),
+        ([[0, 1], [0, 2]], "classes[1].profile[1]: profile bit must be 0 or 1, got 2", "ValidationError"),
+        ([[-1, 0], [0, 1]], "classes[0].profile[0]: profile bit must be 0 or 1, got -1", "ValidationError"),
+        ([[0, 1], [0, 1, 1]], "classes[1].profile: profile has length 3, expected 2", "ValidationError"),
+        ([[0], [0, 1]], "classes[0].profile: profile has length 1, expected 2", "ValidationError"),
+        # Several faults: a non-integer entry outranks a bit-domain fault in
+        # the same profile, but an earlier class's fault comes first.
+        ([[2, "x"], [0, 1]], "classes[0].profile[1]: profile entry must be an integer", "ParseError"),
+        ([[True, 2], [0, 1]], "classes[0].profile[0]: profile entry must be an integer", "ParseError"),
+        ([[0, 2], [0, "x"]], "classes[0].profile[1]: profile bit must be 0 or 1, got 2", "ValidationError"),
     ],
 )
-def test_profile_faults_report_message_and_path(capsys, tmp_path, profiles, message):
+def test_profile_faults_report_message_and_path(capsys, tmp_path, profiles, message, error_type):
     doc = {"attributes": ["p", "q"], "classes": [{"name": f"c{i}", "profile": p} for i, p in enumerate(profiles)]}
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     code, out = run_cli(capsys, ["analyze", str(path)])
     assert code == 2
-    assert out == json.dumps({"error": {"type": "ValidationError", "message": message}}, indent=2) + "\n"
+    assert out == json.dumps({"error": {"type": error_type, "message": message}}, indent=2) + "\n"

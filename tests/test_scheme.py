@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from corpus import random_masses, random_scheme
+from discern import scheme as scheme_module
 from discern.errors import ParseError, ValidationError
 from discern.scheme import (
     ClassRecord,
@@ -109,6 +110,30 @@ def test_at_least_one_class_required():
 def test_zero_attributes_allowed():
     scheme = parse_scheme('{"attributes": [], "classes": [{"name": "A", "profile": []}]}')
     assert scheme.n == 0 and scheme.k == 1
+
+
+def test_parse_checks_each_bit_once(monkeypatch):
+    # ``Profile`` checks the bits; the number of structural checks on a
+    # valid document depends on k but not on the profile length n.
+    calls = []
+    real = scheme_module._expect
+
+    def counting(*args):
+        calls.append(args)
+        real(*args)
+
+    monkeypatch.setattr(scheme_module, "_expect", counting)
+    counts = []
+    for n in (2, 40):
+        calls.clear()
+        parse_scheme(serialize_scheme(random_scheme(random.Random(n), 8, n)))
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+
+
+def test_class_names_derived_once(s2):
+    assert s2.class_names == ("A", "B", "C", "D")
+    assert s2.class_names is s2.class_names
 
 
 def test_profile_of(s2):

@@ -31,7 +31,8 @@ from discern.strategies import (
     witness_eq_cost,
     witness_id_cost,
 )
-from discern.scheme import Scheme
+from discern.matroid import x_equivalent
+from discern.scheme import Scheme, profile_of
 from discern.tradeoff import _hybrid_worst_queries
 from discern.trees import (
     EXACT_TREE_CLASS_LIMIT,
@@ -339,6 +340,12 @@ def test_tag_partition_s2(s2):
     assert tag_partition(s2, 0) == ((0, 1, 2, 3),)
 
 
+def test_negative_tag_width_rejected(s2):
+    for build in (tag_partition, hybrid_tag_plan):
+        with pytest.raises(ValueError, match=r"^tag bits must be >= 0$"):
+            build(s2, -1)
+
+
 def test_tag_partition_keeps_collisions_together(s1):
     rng = random.Random(26)
     for _ in range(20):
@@ -477,10 +484,26 @@ def test_table1_adaptive_tree_never_tries_the_exact_search():
     assert optimal_decision_tree.cache_info().hits == 0
 
 
-def test_tree_builders_reject_out_of_range_classes(s2):
-    for build in (adaptive_tree, optimal_decision_tree, greedy_decision_tree):
-        with pytest.raises(IndexError):
-            build(s2, (0, 4))
+def test_class_index_entry_points_reject_out_of_range(s2):
+    builders = (adaptive_tree, optimal_decision_tree, greedy_decision_tree)
+    strats = (
+        StrategyDescriptor.nominal_for(s2),
+        StrategyDescriptor("adaptive"),
+        StrategyDescriptor("exhaustive"),
+        StrategyDescriptor.hybrid(1),
+    )
+    entry_points = [
+        lambda c: profile_of(s2, c),
+        lambda c: x_equivalent(s2, (0,), c, 0),
+        lambda c: x_equivalent(s2, (0,), 0, c),
+        *[lambda c, build=build: build(s2, (0, c)) for build in builders],
+        *[lambda c, strat=strat: identify_all(s2, strat, [0, c]) for strat in strats],
+    ]
+    for bad in (-1, s2.k):
+        for call in entry_points:
+            with pytest.raises(IndexError) as caught:
+                call(bad)
+            assert str(caught.value) == f"class index {bad} out of range for k={s2.k}"
 
 
 def unbounded_tree(scheme, classes=None):
