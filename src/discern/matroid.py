@@ -9,6 +9,18 @@ within each group of classes sharing ``p & X``.  Inclusion-minimal
 distinguishing sets come from one 2^n table of pair agreement sets, the
 only exhaustive subset scan; they are checked against the basis-exchange
 axiom per instance, never assumed.
+
+Above the exact limit a smallest separating set is approximated by the
+ascending greedy drop: try removing attributes 0, 1, ..., n-1 in turn and
+keep each removal that still separates.  It runs as one pass over the
+binary trie of the sorted profiles (most significant attribute first)
+rather than one ``separates`` per attribute.  When q is tried, every
+attribute above q is still in the mask, so a pair of profiles that the
+mask minus q fails to separate agrees on every bit above q and differs at
+q: it sits on both sides of a trie node split at level q.  Such a pair
+exists iff, at some node split at q, the two children share a projection
+onto the attributes already kept below q; the pair already agrees above q,
+and the attributes dropped below q no longer count.
 """
 from __future__ import annotations
 
@@ -79,6 +91,20 @@ def _smallest_separating_mask(profiles, n: int, exact_limit: int) -> tuple[int, 
     so the mask is the numerically first of minimum size.  Above it, one
     ascending drop pass gives an inclusion-minimal mask: the candidate only
     shrinks, so a kept attribute never becomes droppable later.
+
+    The drop walks the trie nodes of the sorted profiles by ascending
+    split level q.  Sorted profiles that agree above q form one run, split
+    at q into a 0 child and a 1 child: a node boundary is an adjacent pair
+    whose highest differing bit is q, and the node reaches out to the
+    nearest boundaries with a higher bit (a monotonic stack finds them).
+    Dropping q fails exactly when two profiles agree on every attribute
+    still in the mask once q is gone.  Every attribute above q is still
+    in it, so the pair agrees above q and, the mask having separated it,
+    differs at q: it straddles the two children of one node at level q and
+    agrees on the attributes kept below q (see the module docstring).  The
+    test builds a set of the smaller child's projections onto those
+    attributes and probes it with the larger child's.  A level with no
+    node drops its attribute.
     """
     if n <= exact_limit:
         # Returns by size n at the latest: all attributes separate distinct profiles.
@@ -90,11 +116,28 @@ def _smallest_separating_mask(profiles, n: int, exact_limit: int) -> tuple[int, 
                 low = mask & -mask
                 ripple = mask + low
                 mask = ripple | ((ripple ^ mask) >> 2) // low
-    mask = (1 << n) - 1
-    for q in range(n):
-        candidate = mask & ~(1 << q)
-        if separates(profiles, candidate):
-            mask = candidate
+    ordered = sorted(set(profiles))
+    # tops[i]: the highest bit where ordered[i] and ordered[i + 1] differ.
+    tops = [(a ^ b).bit_length() - 1 for a, b in zip(ordered, ordered[1:])]
+    nodes = []  # (level, start, middle, end): children ordered[start:middle], ordered[middle:end]
+    stack: list[int] = []  # open boundaries, highest bits strictly decreasing
+    for i, top in enumerate([*tops, n]):
+        while stack and tops[stack[-1]] < top:
+            j = stack.pop()
+            nodes.append((tops[j], stack[-1] + 1 if stack else 0, j + 1, i + 1))
+        stack.append(i)
+    mask = 0
+    for q, start, middle, end in sorted(nodes):
+        if mask >> q & 1:
+            continue
+        small, large = ordered[start:middle], ordered[middle:end]
+        if len(small) > len(large):
+            small, large = large, small
+        seen = {p & mask for p in small}
+        for p in large:
+            if p & mask in seen:
+                mask |= 1 << q
+                break
     return mask, False
 
 

@@ -99,8 +99,21 @@ def tag_partition(
     fewer, colliding classes stay in one group (splitting them would fake
     a zero-distortion point below the converse bound), and a move-based
     local search balances the per-group distinguishing dimension.  The
-    search keeps the block dimension of every member set it tries in
+    search keeps the block dimension of every member set it evaluates in
     ``dim_cache`` (a fresh dict if none is given), the final groups' too.
+
+    A trial move of one unit from ``src`` to ``dst`` is accepted iff every
+    group then sits below the objective (the largest group dimension
+    before the move).  Three rules skip evaluations on the way to it:
+    the move is rejected without evaluating anything when a group other
+    than ``src`` and ``dst`` already sits at the objective; the shrunken
+    ``src`` is evaluated before the grown ``dst``; and ``dst`` is rejected
+    unevaluated when ceil(log2 D) of its D distinct profiles (one per unit)
+    reaches the objective, since no mask of fewer bits separates D
+    profiles, exact or greedy.  Each rule only skips evaluations whose
+    result could not make the move win, so every decision, and the
+    partition, is the one a full evaluation of all groups would give.
+    A rejected move still puts the unit back at the end of ``src``.
     """
     if tag_bits < 0:
         raise ValueError("tag bits must be >= 0")
@@ -129,7 +142,9 @@ def tag_partition(
     improved = True
     while improved and moves < MAX_PARTITION_MOVES:
         improved = False
-        objective = max(group_dim(g) for g in groups)
+        dims = [group_dim(g) for g in groups]
+        objective = max(dims)
+        at_objective = dims.count(objective)
         for src in range(block_count):
             for unit in list(groups[src]):
                 for dst in range(block_count):
@@ -137,10 +152,14 @@ def tag_partition(
                         continue
                     groups[src].remove(unit)
                     groups[dst].append(unit)
-                    if max(group_dim(g) for g in groups) < objective:
+                    if (
+                        at_objective == (dims[src] == objective) + (dims[dst] == objective)
+                        and group_dim(groups[src]) < objective
+                        and (len(groups[dst]) - 1).bit_length() < objective
+                        and group_dim(groups[dst]) < objective
+                    ):
                         moves += 1
                         improved = True
-                        objective = max(group_dim(g) for g in groups)
                         break
                     groups[dst].remove(unit)
                     groups[src].append(unit)

@@ -392,6 +392,50 @@ def test_dimension_never_exceeds_attribute_count():
         assert is_distinguishing(scheme, result.witness)
 
 
+@st.composite
+def wide_profile_sets(draw):
+    """Up to 60 distinct profiles over up to 80 attributes (past one int64):
+    sparse (at most three bits set), dense (at most three bits clear) or
+    uniformly random."""
+    n = draw(st.integers(1, 80))
+    full = (1 << n) - 1
+    few_bits = st.sets(st.integers(0, n - 1), max_size=3).map(lambda qs: sum(1 << q for q in qs))
+    profile = draw(
+        st.sampled_from([few_bits, few_bits.map(lambda p: full ^ p), st.integers(0, full)])
+    )
+    return draw(st.lists(profile, min_size=1, max_size=60, unique=True)), n
+
+
+def rows_of(profiles, n: int) -> list[tuple[int, ...]]:
+    return [tuple(p >> q & 1 for q in range(n)) for p in profiles]
+
+
+@settings(deadline=None)
+@given(wide_profile_sets())
+def test_greedy_drop_matches_literal_drop(case):
+    profiles, n = case
+    expected = literal_greedy_mask(profiles, n)
+    rows = rows_of(profiles, n)
+    greedy = distinguishing_dimension(scheme_from_profiles(rows), exact_limit=0)
+    assert (greedy.dimension, greedy.exact) == (expected.bit_count(), False)
+    assert greedy.witness == attribute_set(expected, n)
+    # Every other class repeated: the group collapses to the same distinct profiles.
+    colliding = scheme_from_profiles(rows + rows[::2])
+    assert block_dimension(colliding, range(colliding.k), exact_limit=0) == expected.bit_count()
+
+
+def test_greedy_drop_one_hot_keeps_all_but_one():
+    n = 120
+    profiles = [1 << q for q in range(n)]
+    expected = literal_greedy_mask(profiles, n)
+    assert expected == ((1 << n) - 1) ^ 1
+    scheme = scheme_from_profiles(rows_of(profiles, n))
+    greedy = distinguishing_dimension(scheme, exact_limit=0)
+    assert (greedy.dimension, greedy.exact) == (n - 1, False)
+    assert greedy.witness == attribute_set(expected, n)
+    assert block_dimension(scheme, range(n), exact_limit=0) == n - 1
+
+
 def test_block_dimension(s2):
     assert block_dimension(s2, [0]) == 0
     assert block_dimension(s2, [0, 1]) == 1

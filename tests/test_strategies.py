@@ -16,7 +16,7 @@ from corpus import (
     seeded_schemes,
     table1_scheme,
 )
-from discern import strategies, trees
+from discern import matroid, strategies, trees
 from discern.barrier import quotient
 from discern.errors import BarrierError, LimitError
 from discern.strategies import (
@@ -344,6 +344,75 @@ def test_negative_tag_width_rejected(s2):
     for build in (tag_partition, hybrid_tag_plan):
         with pytest.raises(ValueError, match=r"^tag bits must be >= 0$"):
             build(s2, -1)
+
+
+def literal_tag_partition(scheme, tag_bits):
+    """Oracle: the move search evaluating every group on every trial move."""
+    k = scheme.k
+    if tag_bits >= tag_bits_for(k):
+        return tuple((c,) for c in range(k))
+    units = sorted(scheme.quotient, key=lambda b: (scheme.classes[b[0]].profile.bits, b[0]))
+    block_count = min(1 << tag_bits, len(units))
+    groups = [[] for _ in range(block_count)]
+    filled = 0
+    for unit in units:
+        target = (filled + 1) * k // block_count if filled < block_count - 1 else k
+        groups[filled].append(unit)
+        if sum(len(u) for u in groups[filled]) >= target and filled < block_count - 1:
+            filled += 1
+    dims = {}
+
+    def group_dim(group):
+        members = frozenset(c for unit in group for c in unit)
+        if members not in dims:
+            dims[members] = matroid.block_dimension(scheme, members) if members else 0
+        return dims[members]
+
+    moves = 0
+    improved = True
+    while improved and moves < strategies.MAX_PARTITION_MOVES:
+        improved = False
+        objective = max(group_dim(g) for g in groups)
+        for src in range(block_count):
+            for unit in list(groups[src]):
+                for dst in range(block_count):
+                    if dst == src:
+                        continue
+                    groups[src].remove(unit)
+                    groups[dst].append(unit)
+                    if max(group_dim(g) for g in groups) < objective:
+                        moves += 1
+                        improved = True
+                        objective = max(group_dim(g) for g in groups)
+                        break
+                    groups[dst].remove(unit)
+                    groups[src].append(unit)
+                if improved:
+                    break
+            if improved:
+                break
+    final = [sorted(c for unit in g for c in unit) for g in groups if g]
+    return tuple(tuple(g) for g in sorted(final, key=lambda g: g[0]))
+
+
+@pytest.mark.parametrize("n", [8, 16, 50])
+def test_pruned_tag_partition_matches_full_evaluation(n):
+    # n = 8 and 16 take the exact block dimension, n = 50 the greedy drop.
+    rng = random.Random(n)
+    for i in range(6):
+        k = rng.randint(2, 60)
+        if i % 2:
+            scheme = random_colliding_scheme(rng, k, n)
+        else:
+            scheme = random_injective_scheme(rng, k, n)
+        for L in range(5):
+            assert tag_partition(scheme, L) == literal_tag_partition(scheme, L), (i, L)
+
+
+def test_pruned_tag_partition_matches_full_evaluation_at_scale():
+    scheme = table1_scheme(k=200)
+    for L in (1, 2):
+        assert tag_partition(scheme, L) == literal_tag_partition(scheme, L), L
 
 
 def test_tag_partition_keeps_collisions_together(s1):

@@ -180,10 +180,11 @@ def test_plan_computes_each_group_dimension_once(monkeypatch):
     scheme = random_injective_scheme(random.Random(36), 20, 16)
     expected = [hybrid_tag_plan(scheme, L) for L in (1, 2, 3)]
     calls = block_dimension_calls(monkeypatch)
-    for L, plan in zip((1, 2, 3), expected):
+    # The search evaluates only trial groups that can decide a move.
+    for L, plan, count in zip((1, 2, 3), expected, (22, 23, 4)):
         calls.clear()
         assert hybrid_tag_plan(scheme, L) == plan
-        assert len(calls) == len(set(calls)) > len(plan.groups)
+        assert len(calls) == len(set(calls)) == count
         assert set(map(frozenset, plan.groups)) <= set(calls)
 
 
