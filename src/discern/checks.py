@@ -15,7 +15,7 @@ from . import matroid
 from .barrier import collisions
 from .errors import BarrierError, LimitError
 from .scheme import Scheme
-from .strategies import StrategyDescriptor, identify
+from .strategies import TAG_FREE_KINDS, StrategyDescriptor, identify
 
 CLOSURE_CHECK_LIMIT = 10
 
@@ -111,7 +111,7 @@ def check_barrier_factoring(scheme: Scheme) -> CheckOutcome:
             "barrier-factoring", ok=True, skipped=True, detail="no collisions to factor"
         )
     for group in report.groups:
-        for kind in ("exhaustive", "adaptive"):
+        for kind in TAG_FREE_KINDS:
             strat = StrategyDescriptor(kind)
             reference = identify(scheme, strat, group[0])
             for c in group[1:]:

@@ -7,6 +7,7 @@ humans.  Exit codes: 0 success, 1 usage, 2 parse/validation error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
@@ -21,7 +22,7 @@ from .errors import (
     ValidationError,
 )
 from .scheme import Scheme, load_scheme, serialize_scheme
-from .strategies import StrategyDescriptor, identify, identify_all
+from .strategies import KINDS, StrategyDescriptor, identify, identify_all, tag_bits_for
 
 USAGE_EXIT = 1
 DATA_EXIT = 2
@@ -107,15 +108,13 @@ def _transcript_doc(scheme: Scheme, transcript) -> dict:
 
 
 def _simulate_doc(scheme: Scheme, kind: str, tag_bits: int | None, class_name: str | None) -> dict:
-    if kind == "nominal":
-        strat = StrategyDescriptor.nominal_for(scheme)
-    elif kind == "hybrid":
-        strat = StrategyDescriptor.hybrid(tag_bits)
-    else:
-        strat = StrategyDescriptor(kind)
-    if class_name is not None and class_name not in scheme.class_names:
-        raise UsageError(f"unknown class {class_name!r}")
-    indices = range(scheme.k) if class_name is None else [scheme.index_of(class_name)]
+    if tag_bits is None:
+        tag_bits = tag_bits_for(scheme.k) if kind == "nominal" else 0
+    strat = StrategyDescriptor(kind, tag_bits)
+    try:
+        indices = range(scheme.k) if class_name is None else [scheme.index_of(class_name)]
+    except KeyError:
+        raise UsageError(f"unknown class {class_name!r}") from None
     if strat.kind == "adaptive":
         # ``trees`` memoises the adaptive tree, so one ``identify`` per class
         # builds it once; perfbench's traced table1 counters pin this path.
@@ -127,25 +126,13 @@ def _simulate_doc(scheme: Scheme, kind: str, tag_bits: int | None, class_name: s
         for c, t in zip(indices, found)
     ]
     return {
-        "strategy": {"kind": strat.kind, "tag_bits": strat.tag_bits},
+        "strategy": dataclasses.asdict(strat),
         "transcripts": transcripts,
     }
 
 
 def _noise_result_doc(result: noisy.NoiseResult, epsilon: float, delta: float, trials: int) -> dict:
-    return {
-        "epsilon": epsilon,
-        "delta": delta,
-        "trials": trials,
-        "mean_queries": result.mean_queries,
-        "empirical_error": result.empirical_error,
-        "reference_bound": result.reference_bound,
-        "tagged_queries": result.tagged_queries,
-        "repetitions": result.repetitions,
-        "tree_depth": result.tree_depth,
-        "seed": result.seed,
-        "rng": result.rng,
-    }
+    return {"epsilon": epsilon, "delta": delta, "trials": trials, **dataclasses.asdict(result)}
 
 
 def _csv(rows, fields) -> str:
@@ -179,10 +166,7 @@ def _check_doc(scheme: Scheme, closure_limit: int) -> tuple[dict, int]:
     outcomes = checks.check_scheme(scheme, closure_limit=closure_limit)
     doc = {
         "ok": all(o.ok for o in outcomes),
-        "checks": [
-            {"name": o.name, "ok": o.ok, "skipped": o.skipped, "detail": o.detail}
-            for o in outcomes
-        ],
+        "checks": [dataclasses.asdict(o) for o in outcomes],
     }
     return doc, 0 if doc["ok"] else VIOLATION_EXIT
 
@@ -267,8 +251,8 @@ def _build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("--csv", help="also write points as CSV to this path")
 
     cmd = add("simulate", "identification transcripts for one strategy")
-    cmd.add_argument("--strategy", required=True, choices=["nominal", "exhaustive", "adaptive", "hybrid"])
-    cmd.add_argument("--tags", type=int, help="tag bits for the hybrid strategy")
+    cmd.add_argument("--strategy", required=True, choices=KINDS)
+    cmd.add_argument("--tags", type=int, help="tag bits: the hybrid width; nominal needs ceil(log2 k)")
     cmd.add_argument("--class", dest="class_name", help="limit to one class by name")
 
     cmd = add("simulate-noise", "Monte-Carlo identification over a noisy channel")

@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the JSON decoding that
-maps malformed documents onto them."""
+"""Exception types shared across the package, and the JSON decoding and
+shape check (``expect``) that map malformed documents onto them."""
 
 import json
 
@@ -24,6 +24,12 @@ def decode_json(text: str):
         raise ParseError(f"invalid JSON: {exc}") from exc
     except RecursionError as exc:
         raise ParseError("invalid JSON: nested too deeply to decode") from exc
+
+
+def expect(condition: bool, message: str, path: str):
+    """Raise ParseError(message, path) unless ``condition`` holds."""
+    if not condition:
+        raise ParseError(message, path)
 
 
 class ValidationError(Exception):

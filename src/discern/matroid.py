@@ -6,9 +6,11 @@ the scheme when every pair of distinct classes differs on some attribute
 in S, i.e. when the projections ``p & S`` are pairwise distinct
 (``separates``).  The closure of X collects every attribute constant
 within each group of classes sharing ``p & X``.  Inclusion-minimal
-distinguishing sets come from one 2^n table of pair agreement sets, the
-only exhaustive subset scan; they are checked against the basis-exchange
-axiom per instance, never assumed.
+distinguishing sets come from one 2^n table of pair agreement sets and
+are checked against the basis-exchange axiom per instance, never assumed.
+That table is one of three exhaustive subset scans: the exact
+``_smallest_separating_mask`` scans masks by size (Gosper's hack), and
+``checks.check_closure`` builds its own cl(X) table through ``closure``.
 
 Above the exact limit a smallest separating set is approximated by the
 ascending greedy drop: try removing attributes 0, 1, ..., n-1 in turn and

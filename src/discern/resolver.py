@@ -14,7 +14,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 
-from .errors import ParseError, decode_json
+from .errors import ParseError, decode_json, expect
 
 logger = logging.getLogger(__name__)
 
@@ -127,65 +127,54 @@ def parse_scenario(text: str):
     "lazy": true}.
     """
     doc = decode_json(text)
-    if not isinstance(doc, dict):
-        raise ParseError("scenario must be a JSON object", "")
+    expect(isinstance(doc, dict), "scenario must be a JSON object", "")
 
     def expect_int(value, path):
-        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-            raise ParseError("expected a nonnegative integer", path)
+        nonnegative = isinstance(value, int) and not isinstance(value, bool) and value >= 0
+        expect(nonnegative, "expected a nonnegative integer", path)
         return value
 
+    def expect_entry(raw, path):
+        shaped = isinstance(raw, dict) and set(raw) == {"typ", "value"}
+        expect(shaped, 'expected {"typ": ..., "value": ...}', path)
+        typ = expect_int(raw["typ"], f"{path}.typ")
+        return ConfigInstance(typ, expect_int(raw["value"], f"{path}.value"))
+
     raw_registry = doc.get("registry", {})
-    if not isinstance(raw_registry, dict):
-        raise ParseError("must be an object", "registry")
+    expect(isinstance(raw_registry, dict), "must be an object", "registry")
     registry = {}
     for key, target in raw_registry.items():
+        # Only the canonical spelling of an integer is a key: "01" and "1"
+        # would otherwise both name type 1, and one would silently win.
+        not_integer = f"registry key must be an integer, got {key!r}"
         try:
             source = int(key)
         except ValueError as exc:
-            raise ParseError(f"registry key must be an integer, got {key!r}", "registry") from exc
-        if source < 0:
-            raise ParseError("registry key must be nonnegative", f"registry[{key}]")
+            raise ParseError(not_integer, "registry") from exc
+        expect(str(source) == key, not_integer, "registry")
+        expect(source >= 0, "registry key must be nonnegative", f"registry[{key}]")
         registry[source] = expect_int(target, f"registry[{key}]")
 
     raw_mro = doc.get("mro", [])
-    if not isinstance(raw_mro, list):
-        raise ParseError("must be an array", "mro")
+    expect(isinstance(raw_mro, list), "must be an array", "mro")
     mro = [expect_int(t, f"mro[{i}]") for i, t in enumerate(raw_mro)]
 
     raw_scopes = doc.get("scopes", [])
-    if not isinstance(raw_scopes, list):
-        raise ParseError("must be an array", "scopes")
+    expect(isinstance(raw_scopes, list), "must be an array", "scopes")
     scopes = [str(s) for s in raw_scopes]
 
     raw_ctx = doc.get("ctx", {})
-    if not isinstance(raw_ctx, dict):
-        raise ParseError("must be an object", "ctx")
+    expect(isinstance(raw_ctx, dict), "must be an object", "ctx")
     ctx = {}
     for scope, entries in raw_ctx.items():
-        if not isinstance(entries, list):
-            raise ParseError("must be an array", f"ctx[{scope!r}]")
-        parsed = []
-        for i, entry in enumerate(entries):
-            if not isinstance(entry, dict) or set(entry) != {"typ", "value"}:
-                raise ParseError('expected {"typ": ..., "value": ...}', f"ctx[{scope!r}][{i}]")
-            parsed.append(
-                ConfigInstance(
-                    expect_int(entry["typ"], f"ctx[{scope!r}][{i}].typ"),
-                    expect_int(entry["value"], f"ctx[{scope!r}][{i}].value"),
-                )
-            )
-        ctx[str(scope)] = parsed
+        expect(isinstance(entries, list), "must be an array", f"ctx[{scope!r}]")
+        ctx[scope] = [
+            expect_entry(entry, f"ctx[{scope!r}][{i}]") for i, entry in enumerate(entries)
+        ]
 
-    obj = None
-    if "obj" in doc:
-        raw_obj = doc["obj"]
-        if not isinstance(raw_obj, dict) or set(raw_obj) != {"typ", "value"}:
-            raise ParseError('expected {"typ": ..., "value": ...}', "obj")
-        obj = ConfigInstance(expect_int(raw_obj["typ"], "obj.typ"), expect_int(raw_obj["value"], "obj.value"))
+    obj = expect_entry(doc["obj"], "obj") if "obj" in doc else None
 
     lazy = doc.get("lazy", False)
-    if not isinstance(lazy, bool):
-        raise ParseError("must be a boolean", "lazy")
+    expect(isinstance(lazy, bool), "must be a boolean", "lazy")
 
     return ResolveScenario(registry=registry, mro=mro, scopes=scopes, ctx=ctx), obj, lazy

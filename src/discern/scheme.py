@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .errors import ParseError, ValidationError, decode_json
+from .errors import ValidationError, decode_json, expect
 
 MASS_SUM_TOLERANCE = 1e-9
 
@@ -166,16 +166,11 @@ def profile_of(scheme: Scheme, class_index: int) -> Profile:
     return scheme.classes[scheme.check_class(class_index)].profile
 
 
-def _expect(condition: bool, message: str, path: str):
-    if not condition:
-        raise ParseError(message, path)
-
-
 def _expect_each(items: list, types, message: str, path: str):
-    """One ``_expect`` for a whole array: every item is of ``types`` and not
+    """One ``expect`` for a whole array: every item is of ``types`` and not
     a bool; ``path[i]`` names the first item that is not."""
     bad = next((i for i, x in enumerate(items) if not isinstance(x, types) or isinstance(x, bool)), None)
-    _expect(bad is None, message, f"{path}[{bad}]")
+    expect(bad is None, message, f"{path}[{bad}]")
 
 
 def parse_scheme(text: str, renormalize: bool = False) -> Scheme:
@@ -188,26 +183,26 @@ def parse_scheme(text: str, renormalize: bool = False) -> Scheme:
     they are never rescaled silently.
     """
     doc = decode_json(text)
-    _expect(isinstance(doc, dict), "document must be a JSON object", "")
-    _expect("attributes" in doc, "missing key", "attributes")
-    _expect("classes" in doc, "missing key", "classes")
+    expect(isinstance(doc, dict), "document must be a JSON object", "")
+    expect("attributes" in doc, "missing key", "attributes")
+    expect("classes" in doc, "missing key", "classes")
     unknown = set(doc) - {"attributes", "classes", "masses"}
-    _expect(not unknown, f"unknown keys {sorted(unknown)}", "")
+    expect(not unknown, f"unknown keys {sorted(unknown)}", "")
 
     raw_attributes = doc["attributes"]
-    _expect(isinstance(raw_attributes, list), "must be an array", "attributes")
+    expect(isinstance(raw_attributes, list), "must be an array", "attributes")
     _expect_each(raw_attributes, str, "attribute name must be a string", "attributes")
 
     raw_classes = doc["classes"]
-    _expect(isinstance(raw_classes, list), "must be an array", "classes")
+    expect(isinstance(raw_classes, list), "must be an array", "classes")
     records = []
     for i, entry in enumerate(raw_classes):
-        _expect(isinstance(entry, dict), "class entry must be an object", f"classes[{i}]")
-        _expect("name" in entry, "missing key", f"classes[{i}].name")
-        _expect("profile" in entry, "missing key", f"classes[{i}].profile")
-        _expect(isinstance(entry["name"], str), "class name must be a string", f"classes[{i}].name")
+        expect(isinstance(entry, dict), "class entry must be an object", f"classes[{i}]")
+        expect("name" in entry, "missing key", f"classes[{i}].name")
+        expect("profile" in entry, "missing key", f"classes[{i}].profile")
+        expect(isinstance(entry["name"], str), "class name must be a string", f"classes[{i}].name")
         raw_profile = entry["profile"]
-        _expect(isinstance(raw_profile, list), "profile must be an array", f"classes[{i}].profile")
+        expect(isinstance(raw_profile, list), "profile must be an array", f"classes[{i}].profile")
         try:
             records.append(ClassRecord(entry["name"], Profile(tuple(raw_profile))))
         except ValidationError as exc:
@@ -219,7 +214,7 @@ def parse_scheme(text: str, renormalize: bool = False) -> Scheme:
     masses: tuple[float, ...] = ()
     if "masses" in doc:
         raw_masses = doc["masses"]
-        _expect(isinstance(raw_masses, list), "must be an array", "masses")
+        expect(isinstance(raw_masses, list), "must be an array", "masses")
         _expect_each(raw_masses, (int, float), "mass must be a number", "masses")
         masses = tuple(float(m) for m in raw_masses)
         if renormalize and masses:

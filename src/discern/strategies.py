@@ -20,7 +20,6 @@ TAG_READ = "TAG_READ"
 KINDS = ("nominal", "exhaustive", "adaptive", "hybrid")
 TAG_FREE_KINDS = ("exhaustive", "adaptive")
 
-MAX_PARTITION_MOVES = 1000
 EXHAUSTIVE_PARTITION_CLASS_LIMIT = 10
 EXHAUSTIVE_PARTITION_BLOCK_LIMIT = 4
 
@@ -70,12 +69,11 @@ class Transcript:
 
     queries: tuple
     output: int
-    query_count: int
     undecided: bool = False
 
-    def __post_init__(self):
-        if self.query_count != len(self.queries):
-            raise ValueError("query_count must equal len(queries)")
+    @property
+    def query_count(self) -> int:
+        return len(self.queries)
 
 
 def _profile_units(scheme: Scheme) -> list[tuple[int, ...]]:
@@ -104,7 +102,9 @@ def tag_partition(
 
     A trial move of one unit from ``src`` to ``dst`` is accepted iff every
     group then sits below the objective (the largest group dimension
-    before the move).  Three rules skip evaluations on the way to it:
+    before the move).  The objective is an integer in [0, n] and every
+    accepted move lowers it, so the search accepts at most n moves and
+    needs no cap of its own.  Three rules skip evaluations on the way to it:
     the move is rejected without evaluating anything when a group other
     than ``src`` and ``dst`` already sits at the objective; the shrunken
     ``src`` is evaluated before the grown ``dst``; and ``dst`` is rejected
@@ -138,9 +138,8 @@ def tag_partition(
     def group_dim(group: list[tuple[int, ...]]) -> int:
         return _group_dimension(scheme, frozenset(c for unit in group for c in unit), dim_cache)
 
-    moves = 0
     improved = True
-    while improved and moves < MAX_PARTITION_MOVES:
+    while improved:
         improved = False
         dims = [group_dim(g) for g in groups]
         objective = max(dims)
@@ -158,7 +157,6 @@ def tag_partition(
                         and (len(groups[dst]) - 1).bit_length() < objective
                         and group_dim(groups[dst]) < objective
                     ):
-                        moves += 1
                         improved = True
                         break
                     groups[dst].remove(unit)
@@ -249,7 +247,7 @@ def _walk_transcript(scheme: Scheme, tree, c: int, prefix: tuple = ()) -> Transc
     """Transcript of class ``c`` walking ``tree`` after the ``prefix`` queries."""
     queried, leaf = walk(tree, scheme.classes[c].profile.bits)
     queries = (*prefix, *queried)
-    return Transcript(queries, leaf.candidates[0], len(queries), len(leaf.candidates) > 1)
+    return Transcript(queries, leaf.candidates[0], len(leaf.candidates) > 1)
 
 
 def identify_all(scheme: Scheme, strat: StrategyDescriptor, class_indices) -> list[Transcript]:
@@ -269,12 +267,12 @@ def identify_all(scheme: Scheme, strat: StrategyDescriptor, class_indices) -> li
             raise ValueError(
                 f"nominal tag_bits must be ceil(log2 k) = {tag_bits_for(scheme.k)}"
             )
-        return [Transcript((TAG_READ,), c, 1) for c in class_indices]
+        return [Transcript((TAG_READ,), c) for c in class_indices]
 
     if strat.kind == "exhaustive":
         block_of = {c: block for block in scheme.quotient for c in block}
         return [
-            Transcript(tuple(range(scheme.n)), block_of[c][0], scheme.n, len(block_of[c]) > 1)
+            Transcript(tuple(range(scheme.n)), block_of[c][0], len(block_of[c]) > 1)
             for c in class_indices
         ]
 
@@ -291,7 +289,7 @@ def identify_all(scheme: Scheme, strat: StrategyDescriptor, class_indices) -> li
     return [
         _walk_transcript(scheme, group_trees[group_of[c]], c, (TAG_READ,))
         if len(group_of[c]) > 1
-        else Transcript((TAG_READ,), c, 1)
+        else Transcript((TAG_READ,), c)
         for c in class_indices
     ]
 

@@ -118,6 +118,26 @@ def test_simulate_unknown_class_is_a_usage_error(capsys, fixtures_dir):
     assert captured.err == "error: unknown class 'NOPE'\n"
 
 
+@pytest.mark.parametrize(
+    "strategy, tags, message",
+    [
+        ("adaptive", "2", "adaptive strategy is tag-free"),
+        ("nominal", "1", "nominal tag_bits must be ceil(log2 k) = 2"),
+    ],
+)
+def test_simulate_tags_the_strategy_cannot_use_are_refused(capsys, fixtures_dir, strategy, tags, message):
+    code, out = run_cli(
+        capsys, ["simulate", str(fixtures_dir / "s2.json"), "--strategy", strategy, "--tags", tags]
+    )
+    assert code == 2
+    assert json.loads(out) == {"error": {"type": "ValueError", "message": message}}
+
+
+def test_simulate_nominal_tags_equal_to_the_default_change_nothing(capsys, fixtures_dir):
+    args = ["simulate", str(fixtures_dir / "s2.json"), "--strategy", "nominal"]
+    assert run_cli(capsys, [*args, "--tags", "2"]) == run_cli(capsys, args)
+
+
 @pytest.mark.parametrize("command", ["analyze", "resolve"])
 def test_deeply_nested_json_is_a_parse_error(capsys, tmp_path, command):
     path = tmp_path / "deep.json"

@@ -179,18 +179,47 @@ def test_parse_scenario_round_trip(fixtures_dir):
     assert lazy is True
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "[]",
-        '{"registry": []}',
-        '{"mro": ["x"]}',
-        '{"ctx": {"s0": [{"typ": 1}]}}',
-        '{"obj": {"typ": 1}}',
-        '{"lazy": "yes"}',
-        '{"registry": {"a": 1}}',
-    ],
-)
+ENTRY_SHAPE = 'expected {"typ": ..., "value": ...}'
+
+# One document per check in ``parse_scenario``: text -> (message, path).
+PARSE_ERRORS = {
+    "[]": ("scenario must be a JSON object", ""),
+    '{"registry": []}': ("must be an object", "registry"),
+    '{"registry": {"a": 1}}': ("registry key must be an integer, got 'a'", "registry"),
+    '{"registry": {"-1": 1}}': ("registry key must be nonnegative", "registry[-1]"),
+    '{"registry": {"2": -1}}': ("expected a nonnegative integer", "registry[2]"),
+    '{"registry": {"2": true}}': ("expected a nonnegative integer", "registry[2]"),
+    '{"mro": {}}': ("must be an array", "mro"),
+    '{"mro": ["x"]}': ("expected a nonnegative integer", "mro[0]"),
+    '{"mro": [1, 2.5]}': ("expected a nonnegative integer", "mro[1]"),
+    '{"scopes": "s0"}': ("must be an array", "scopes"),
+    '{"ctx": []}': ("must be an object", "ctx"),
+    '{"ctx": {"s0": {}}}': ("must be an array", "ctx['s0']"),
+    '{"ctx": {"s0": [{"typ": 1}]}}': (ENTRY_SHAPE, "ctx['s0'][0]"),
+    '{"ctx": {"s0": [5]}}': (ENTRY_SHAPE, "ctx['s0'][0]"),
+    '{"ctx": {"s0": [{"typ": 1, "value": 2, "x": 3}]}}': (ENTRY_SHAPE, "ctx['s0'][0]"),
+    '{"ctx": {"s0": [{"typ": "1", "value": 2}]}}': ("expected a nonnegative integer", "ctx['s0'][0].typ"),
+    '{"ctx": {"s0": [{"typ": 1, "value": -2}]}}': ("expected a nonnegative integer", "ctx['s0'][0].value"),
+    '{"obj": {"typ": 1}}': (ENTRY_SHAPE, "obj"),
+    '{"obj": 3}': (ENTRY_SHAPE, "obj"),
+    '{"obj": {"typ": false, "value": 0}}': ("expected a nonnegative integer", "obj.typ"),
+    '{"obj": {"typ": 1, "value": -2}}': ("expected a nonnegative integer", "obj.value"),
+    '{"lazy": "yes"}': ("must be a boolean", "lazy"),
+}
+
+
+@pytest.mark.parametrize("text", PARSE_ERRORS)
 def test_parse_scenario_errors(text):
-    with pytest.raises(ParseError):
+    message, path = PARSE_ERRORS[text]
+    with pytest.raises(ParseError) as caught:
         parse_scenario(text)
+    assert (str(caught.value), caught.value.path) == (f"{path}: {message}" if path else message, path)
+
+
+@pytest.mark.parametrize("key", [" 2", "+3", "1_0", "01"])
+def test_registry_keys_must_be_canonical_integers(key):
+    # int() accepts each of these; "01" beside "1" would name type 1 twice.
+    with pytest.raises(ParseError) as caught:
+        parse_scenario(f'{{"registry": {{"1": 5, "{key}": 7}}}}')
+    assert str(caught.value) == f"registry: registry key must be an integer, got {key!r}"
+    assert caught.value.path == "registry"

@@ -116,13 +116,13 @@ def test_parse_checks_each_bit_once(monkeypatch):
     # ``Profile`` checks the bits; the number of structural checks on a
     # valid document depends on k but not on the profile length n.
     calls = []
-    real = scheme_module._expect
+    real = scheme_module.expect
 
     def counting(*args):
         calls.append(args)
         real(*args)
 
-    monkeypatch.setattr(scheme_module, "_expect", counting)
+    monkeypatch.setattr(scheme_module, "expect", counting)
     counts = []
     for n in (2, 40):
         calls.clear()

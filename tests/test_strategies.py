@@ -347,10 +347,13 @@ def test_negative_tag_width_rejected(s2):
 
 
 def literal_tag_partition(scheme, tag_bits):
-    """Oracle: the move search evaluating every group on every trial move."""
+    """Oracle: the move search evaluating every group on every trial move,
+    under the 1000-move cap the search once had.  Returns the partition,
+    the number of accepted moves and the initial objective (the largest
+    group dimension of the first fill)."""
     k = scheme.k
     if tag_bits >= tag_bits_for(k):
-        return tuple((c,) for c in range(k))
+        return tuple((c,) for c in range(k)), 0, 0
     units = sorted(scheme.quotient, key=lambda b: (scheme.classes[b[0]].profile.bits, b[0]))
     block_count = min(1 << tag_bits, len(units))
     groups = [[] for _ in range(block_count)]
@@ -370,7 +373,8 @@ def literal_tag_partition(scheme, tag_bits):
 
     moves = 0
     improved = True
-    while improved and moves < strategies.MAX_PARTITION_MOVES:
+    initial_objective = max(group_dim(g) for g in groups)
+    while improved and moves < 1000:
         improved = False
         objective = max(group_dim(g) for g in groups)
         for src in range(block_count):
@@ -392,13 +396,16 @@ def literal_tag_partition(scheme, tag_bits):
             if improved:
                 break
     final = [sorted(c for unit in g for c in unit) for g in groups if g]
-    return tuple(tuple(g) for g in sorted(final, key=lambda g: g[0]))
+    return tuple(tuple(g) for g in sorted(final, key=lambda g: g[0])), moves, initial_objective
 
 
 @pytest.mark.parametrize("n", [8, 16, 50])
 def test_pruned_tag_partition_matches_full_evaluation(n):
     # n = 8 and 16 take the exact block dimension, n = 50 the greedy drop.
+    # Every accepted move lowers the objective, so the search stops by
+    # itself after at most the initial objective's worth of moves.
     rng = random.Random(n)
+    most_moves = 0
     for i in range(6):
         k = rng.randint(2, 60)
         if i % 2:
@@ -406,13 +413,21 @@ def test_pruned_tag_partition_matches_full_evaluation(n):
         else:
             scheme = random_injective_scheme(rng, k, n)
         for L in range(5):
-            assert tag_partition(scheme, L) == literal_tag_partition(scheme, L), (i, L)
+            groups, moves, initial_objective = literal_tag_partition(scheme, L)
+            assert tag_partition(scheme, L) == groups, (i, L)
+            assert moves <= initial_objective, (i, L)
+            most_moves = max(most_moves, moves)
+    if n == 8:
+        # One case (L = 2) runs the loop past its first accepted move.
+        assert most_moves >= 2
 
 
 def test_pruned_tag_partition_matches_full_evaluation_at_scale():
     scheme = table1_scheme(k=200)
     for L in (1, 2):
-        assert tag_partition(scheme, L) == literal_tag_partition(scheme, L), L
+        groups, moves, initial_objective = literal_tag_partition(scheme, L)
+        assert tag_partition(scheme, L) == groups, L
+        assert moves <= initial_objective, L
 
 
 def test_tag_partition_keeps_collisions_together(s1):
