@@ -83,11 +83,8 @@ def _tradeoff_doc(scheme: Scheme, tags) -> dict:
     if tags:
         doc["tag_plans"] = [
             {
-                "L": p.plan.L,
+                **dataclasses.asdict(p.plan),
                 "groups": [[scheme.class_names[c] for c in g] for g in p.plan.groups],
-                "max_group_dimension": p.plan.max_group_dimension,
-                "residual_distortion": p.plan.residual_distortion,
-                "exhaustive_max_group_dimension": p.plan.exhaustive_max_group_dimension,
             }
             for p in points
             if p.plan is not None

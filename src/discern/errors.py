@@ -1,5 +1,5 @@
 """Exception types shared across the package, and the JSON decoding and
-shape check (``expect``) that map malformed documents onto them."""
+shape checks that map malformed documents onto them."""
 
 import json
 
@@ -15,11 +15,21 @@ class ParseError(Exception):
         self.path = path
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A decoded JSON object; a repeated key is refused, not collapsed."""
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        seen: set = set()
+        repeated = next(key for key, _ in pairs if key in seen or seen.add(key))
+        raise ParseError(f"duplicate key {repeated!r}")
+    return doc
+
+
 def decode_json(text: str):
-    """``json.loads``, with every way a document can fail to decode raised
-    as ParseError: malformed JSON, and nesting too deep for the decoder."""
+    """``json.loads``, raising ParseError for malformed JSON, a key repeated
+    within one object, and nesting too deep for the decoder."""
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
     except RecursionError as exc:
@@ -30,6 +40,13 @@ def expect(condition: bool, message: str, path: str):
     """Raise ParseError(message, path) unless ``condition`` holds."""
     if not condition:
         raise ParseError(message, path)
+
+
+def expect_each(items: list, types, message: str, path: str):
+    """One ``expect`` for a whole array: every item is of ``types`` and not
+    a bool; ``path[i]`` names the first item that is not."""
+    bad = next((i for i, x in enumerate(items) if not isinstance(x, types) or isinstance(x, bool)), None)
+    expect(bad is None, message, f"{path}[{bad}]")
 
 
 class ValidationError(Exception):

@@ -6,11 +6,12 @@ the scheme when every pair of distinct classes differs on some attribute
 in S, i.e. when the projections ``p & S`` are pairwise distinct
 (``separates``).  The closure of X collects every attribute constant
 within each group of classes sharing ``p & X``.  Inclusion-minimal
-distinguishing sets come from one 2^n table of pair agreement sets and
-are checked against the basis-exchange axiom per instance, never assumed.
-That table is one of three exhaustive subset scans: the exact
-``_smallest_separating_mask`` scans masks by size (Gosper's hack), and
-``checks.check_closure`` builds its own cl(X) table through ``closure``.
+distinguishing sets come from one 2^n table of pair agreement sets, and
+basis exchange is checked per instance, never assumed, by lookups in that
+table and the table of minimal sets it yields.  It is one of three
+exhaustive subset scans: the exact ``_smallest_separating_mask`` scans
+masks by size (Gosper's hack), and ``checks.check_closure`` builds its own
+cl(X) table through ``closure``.
 
 Above the exact limit a smallest separating set is approximated by the
 ascending greedy drop: try removing attributes 0, 1, ..., n-1 in turn and
@@ -110,7 +111,7 @@ def _smallest_separating_mask(profiles, n: int, exact_limit: int) -> tuple[int, 
     """
     if n <= exact_limit:
         # Returns by size n at the latest: all attributes separate distinct profiles.
-        for size in range((len(profiles) - 1).bit_length(), n + 1):
+        for size in range(max(len(profiles) - 1, 0).bit_length(), n + 1):
             mask = (1 << size) - 1
             while mask >> n == 0:
                 if separates(profiles, mask):
@@ -180,13 +181,19 @@ def _require_injective(scheme: Scheme):
         )
 
 
-def _minimal_distinguishing_masks(profile_ints, n: int) -> np.ndarray:
-    """Ascending masks of every inclusion-minimal distinguishing set.
+def _base_masks(profile_ints, n: int) -> tuple[list[int], tuple[int, int, int] | None]:
+    """Masks of every inclusion-minimal distinguishing set, by size and then
+    sorted attributes, and the first exchange failure (B1, B2, q) in that
+    order: q in B1 - B2, and no q2 in B2 - B1 makes B1 - q + q2 a base.
 
     ``blocked[X]`` marks X as contained in the agreement set of some class
     pair, i.e. not distinguishing: the agreement sets are marked, then the
     marks are closed downward one attribute at a time.  X is minimal iff it
     is unmarked while every X minus one attribute is marked.
+
+    For q in B1, N collects every q2 outside B1 with B1 - q + q2 minimal.
+    Exchange fails for (B1, q) iff some base avoids q and N, i.e. iff the
+    attributes outside N + {q} still distinguish: one ``blocked`` lookup.
     """
     if n > SUBSET_TABLE_LIMIT:
         raise LimitError(f"subset table limited to n <= {SUBSET_TABLE_LIMIT}, scheme has n={n}")
@@ -204,7 +211,26 @@ def _minimal_distinguishing_masks(profile_ints, n: int) -> np.ndarray:
     minimal = ~blocked
     for q in range(n):
         minimal.reshape(-1, 2, 1 << q)[:, 1, :] &= blocked.reshape(-1, 2, 1 << q)[:, 0, :]
-    return np.flatnonzero(minimal)
+    # Among equal sizes, ascending sorted attributes is descending bit-reversed value.
+    masks = sorted(
+        np.flatnonzero(minimal).tolist(), key=lambda m: (m.bit_count(), -int(f"{m:0{n}b}"[::-1], 2))
+    )
+    for b1 in masks:
+        outside = [q2 for q2 in range(n) if not b1 >> q2 & 1]
+        failing = {}  # q -> N
+        for q in range(n):
+            if b1 >> q & 1:
+                swaps = sum(1 << q2 for q2 in outside if minimal[b1 ^ 1 << q | 1 << q2])
+                if not blocked[full ^ swaps ^ 1 << q]:
+                    failing[q] = swaps
+        if failing:
+            return masks, next(
+                (b1, b2, q)
+                for b2 in masks
+                for q, swaps in failing.items()
+                if not b2 >> q & 1 and not b2 & swaps
+            )
+    return masks, None
 
 
 def enumerate_minimal_distinguishing(scheme: Scheme, max_n: int = EXACT_SUBSET_LIMIT) -> MatroidReport:
@@ -218,39 +244,25 @@ def enumerate_minimal_distinguishing(scheme: Scheme, max_n: int = EXACT_SUBSET_L
     _require_injective(scheme)
     if scheme.n > max_n:
         raise LimitError(f"exact enumeration limited to n <= {max_n}, scheme has n={scheme.n}")
-    minimal_masks = _minimal_distinguishing_masks(scheme.profile_ints, scheme.n)
-    bases = sorted((_to_set(int(mask)) for mask in minimal_masks), key=lambda b: (len(b), sorted(b)))
-    sizes = {len(b) for b in bases}
-    dimension = min(sizes)
-    base_set = set(bases)
+    masks, failure = _base_masks(scheme.profile_ints, scheme.n)
+    bases = tuple(_to_set(mask) for mask in masks)
 
     counterexample = None
-    equal_cardinality_ok = len(sizes) == 1
+    equal_cardinality_ok = len(bases[0]) == len(bases[-1])
     if not equal_cardinality_ok:
-        small = next(b for b in bases if len(b) == min(sizes))
-        large = next(b for b in bases if len(b) == max(sizes))
+        large = next(b for b in bases if len(b) == len(bases[-1]))
         counterexample = (
-            f"minimal distinguishing sets of unequal size: {sorted(small)} vs {sorted(large)}"
+            f"minimal distinguishing sets of unequal size: {sorted(bases[0])} vs {sorted(large)}"
         )
 
-    failure = next(
-        (
-            (b1, b2, q)
-            for b1 in bases
-            for b2 in bases
-            for q in sorted(b1 - b2)
-            if not any((b1 - {q}) | {q2} in base_set for q2 in b2 - b1)
-        ),
-        None,
-    )
     exchange_counterexample = None
     if failure:
-        b1, b2, q = failure
-        exchange_counterexample = f"exchange fails for B1={sorted(b1)}, B2={sorted(b2)}, q={q}"
+        b1, b2 = (sorted(_to_set(m)) for m in failure[:2])
+        exchange_counterexample = f"exchange fails for B1={b1}, B2={b2}, q={failure[2]}"
 
     return MatroidReport(
-        bases=tuple(bases),
-        dimension=dimension,
+        bases=bases,
+        dimension=len(bases[0]),
         exchange_ok=failure is None,
         equal_cardinality_ok=equal_cardinality_ok,
         counterexample=counterexample or exchange_counterexample,

@@ -14,7 +14,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 
-from .errors import ParseError, decode_json, expect
+from .errors import ParseError, decode_json, expect, expect_each
 
 logger = logging.getLogger(__name__)
 
@@ -159,9 +159,9 @@ def parse_scenario(text: str):
     expect(isinstance(raw_mro, list), "must be an array", "mro")
     mro = [expect_int(t, f"mro[{i}]") for i, t in enumerate(raw_mro)]
 
-    raw_scopes = doc.get("scopes", [])
-    expect(isinstance(raw_scopes, list), "must be an array", "scopes")
-    scopes = [str(s) for s in raw_scopes]
+    scopes = doc.get("scopes", [])
+    expect(isinstance(scopes, list), "must be an array", "scopes")
+    expect_each(scopes, str, "scope must be a string", "scopes")
 
     raw_ctx = doc.get("ctx", {})
     expect(isinstance(raw_ctx, dict), "must be an object", "ctx")

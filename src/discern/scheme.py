@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .errors import ValidationError, decode_json, expect
+from .errors import ValidationError, decode_json, expect, expect_each
 
 MASS_SUM_TOLERANCE = 1e-9
 
@@ -166,13 +166,6 @@ def profile_of(scheme: Scheme, class_index: int) -> Profile:
     return scheme.classes[scheme.check_class(class_index)].profile
 
 
-def _expect_each(items: list, types, message: str, path: str):
-    """One ``expect`` for a whole array: every item is of ``types`` and not
-    a bool; ``path[i]`` names the first item that is not."""
-    bad = next((i for i, x in enumerate(items) if not isinstance(x, types) or isinstance(x, bool)), None)
-    expect(bad is None, message, f"{path}[{bad}]")
-
-
 def parse_scheme(text: str, renormalize: bool = False) -> Scheme:
     """Parse and validate a scheme document.
 
@@ -191,7 +184,7 @@ def parse_scheme(text: str, renormalize: bool = False) -> Scheme:
 
     raw_attributes = doc["attributes"]
     expect(isinstance(raw_attributes, list), "must be an array", "attributes")
-    _expect_each(raw_attributes, str, "attribute name must be a string", "attributes")
+    expect_each(raw_attributes, str, "attribute name must be a string", "attributes")
 
     raw_classes = doc["classes"]
     expect(isinstance(raw_classes, list), "must be an array", "classes")
@@ -208,14 +201,14 @@ def parse_scheme(text: str, renormalize: bool = False) -> Scheme:
         except ValidationError as exc:
             # ``Profile`` checks the bits; only a refused profile is searched
             # for the non-integer entry that outranks its error.
-            _expect_each(raw_profile, int, "profile entry must be an integer", f"classes[{i}].profile")
+            expect_each(raw_profile, int, "profile entry must be an integer", f"classes[{i}].profile")
             raise ValidationError(exc.message, f"classes[{i}].{exc.path}") from exc
 
     masses: tuple[float, ...] = ()
     if "masses" in doc:
         raw_masses = doc["masses"]
         expect(isinstance(raw_masses, list), "must be an array", "masses")
-        _expect_each(raw_masses, (int, float), "mass must be a number", "masses")
+        expect_each(raw_masses, (int, float), "mass must be a number", "masses")
         masses = tuple(float(m) for m in raw_masses)
         if renormalize and masses:
             total = sum(masses)

@@ -179,8 +179,8 @@ class TagPlan:
     runs and its best value is reported alongside for comparison.
     """
 
-    groups: tuple[tuple[int, ...], ...]
     L: int
+    groups: tuple[tuple[int, ...], ...]
     max_group_dimension: int
     residual_distortion: float
     exhaustive_max_group_dimension: int | None = None

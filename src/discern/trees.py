@@ -98,30 +98,6 @@ def _grow(start: int, columns, split) -> tuple[TreeNode, int]:
     return built[0]
 
 
-def _distinct_reducer(scheme: Scheme, start: int):
-    """Map a candidate mask to one class per distinct profile (its lowest).
-
-    Classes sharing a profile answer every query alike, so the reduced
-    mask has the same splitting attributes and counts distinct profiles
-    by its bits.
-    """
-    # Its own grouping: O(members) per start mask, where filtering
-    # ``scheme.quotient`` to a hybrid group would touch all k classes.
-    shared: dict[int, int] = {}
-    for c in _candidates(start):
-        p = scheme.profile_ints[c]
-        shared[p] = shared.get(p, 0) | 1 << c
-    groups = [g for g in shared.values() if g & (g - 1)]
-
-    def reduce(mask: int) -> int:
-        for g in groups:
-            hit = mask & g
-            mask &= ~(hit & (hit - 1))
-        return mask
-
-    return reduce
-
-
 def _depth_bound(count: int, widest: int) -> int:
     """Least worst-case depth possible for ``count`` distinct profiles when
     no attribute splits off more than ``widest`` of them."""
@@ -165,7 +141,11 @@ def optimal_decision_tree(scheme: Scheme, classes=None) -> DecisionTree:
             f"n <= {EXACT_TREE_ATTR_LIMIT}; got k={start.bit_count()}, n={scheme.n}"
         )
     columns = scheme.column_masks
-    distinct = _distinct_reducer(scheme, start)
+    # Classes sharing a profile answer every query alike, so a column split
+    # keeps or drops them together: ANDed with ``reps``, the lowest class of
+    # each distinct profile, a reached mask has the same splitting
+    # attributes and counts its distinct profiles by its bits.
+    reps = sum({scheme.profile_ints[c]: 1 << c for c in reversed(_candidates(start))}.values())
     memo: dict[int, tuple[int, int | None]] = {}
 
     def solve(mask: int) -> tuple[int, int | None]:
@@ -173,11 +153,10 @@ def optimal_decision_tree(scheme: Scheme, classes=None) -> DecisionTree:
         if cached is not None:
             return cached
         best_depth, best_attr = 0, None
-        reps = distinct(mask)
-        count = reps.bit_count()
+        count = mask.bit_count()
         splits, widest = [], 0
         for q, col in enumerate(columns):
-            ones = (reps & col).bit_count()
+            ones = (mask & col).bit_count()
             if 0 < ones < count:
                 splits.append((q, ones))
                 if widest < ones < count - widest:
@@ -202,7 +181,7 @@ def optimal_decision_tree(scheme: Scheme, classes=None) -> DecisionTree:
         memo[mask] = (best_depth, best_attr)
         return memo[mask]
 
-    root, depth = _grow(start, columns, lambda mask: solve(mask)[1])
+    root, depth = _grow(start, columns, lambda mask: solve(mask & reps)[1])
     return DecisionTree(root=root, depth=depth, exact=True)
 
 

@@ -93,3 +93,22 @@ def random_scenario(rng: random.Random) -> ResolveScenario:
                 for _ in range(rng.randint(0, 4))
             ]
     return ResolveScenario(registry=registry, mro=mro, scopes=scopes, ctx=ctx)
+
+
+def binary_linear_scheme(rng: random.Random, m: int, n: int) -> Scheme:
+    """Classes are the 2^m vectors x over GF(2); attribute q is the parity
+    of x & f_q, for the m unit functionals and n - m random nonzero ones,
+    shuffled.  Its minimal distinguishing sets are the bases of a binary
+    matroid: the attribute sets whose functionals form a basis."""
+    functionals = [1 << j for j in range(m)] + [rng.randrange(1, 1 << m) for _ in range(n - m)]
+    rng.shuffle(functionals)
+    return scheme_from_profiles(
+        [tuple((f & x).bit_count() & 1 for f in functionals) for x in range(1 << m)]
+    )
+
+
+def partition_scheme(m: int, r: int) -> Scheme:
+    """Classes are the 2^m vectors; each of their m coordinates is copied
+    into r attributes, so the r^m minimal distinguishing sets pick one copy
+    of each coordinate."""
+    return scheme_from_profiles([tuple(x >> (q // r) & 1 for q in range(m * r)) for x in range(1 << m)])

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from corpus import random_injective_scheme, scheme_from_profiles
+from corpus import binary_linear_scheme, random_injective_scheme, scheme_from_profiles
 from golden_cases import GOLDEN_CASES, fill
 from discern import cli, matroid, strategies
 from discern.scheme import serialize_scheme
@@ -149,6 +149,21 @@ def test_deeply_nested_json_is_a_parse_error(capsys, tmp_path, command):
     }
 
 
+@pytest.mark.parametrize(
+    "command, text, key",
+    [
+        ("resolve", '{"registry": {"1": 5, "1": 7}}', "1"),
+        ("analyze", '{"attributes": [], "classes": [], "classes": [{"name": "A", "profile": []}]}', "classes"),
+    ],
+)
+def test_duplicate_json_keys_are_a_parse_error(capsys, tmp_path, command, text, key):
+    path = tmp_path / "duplicate.json"
+    path.write_text(text)
+    code, out = run_cli(capsys, [command, str(path)])
+    assert code == 2
+    assert json.loads(out) == {"error": {"type": "ParseError", "message": f"duplicate key {key!r}"}}
+
+
 def test_nan_mass_is_a_validation_error(capsys, tmp_path):
     path = tmp_path / "nan.json"
     path.write_text('{"attributes": ["p"], "classes": [{"name": "A", "profile": [0]}, '
@@ -267,6 +282,20 @@ def test_check_fixtures_pass(capsys, fixtures_dir):
         code, out = run_cli(capsys, ["check", str(fixtures_dir / name)])
         assert code == 0, out
         assert json.loads(out)["ok"] is True
+
+
+@pytest.mark.parametrize("command", ["bases", "check"])
+def test_binary_linear_bases_at_n16_finish(capsys, tmp_path, command):
+    # 256 classes with thousands of bases, all of one binary matroid; a
+    # scan over pairs of bases did not finish in 200 s.
+    path = tmp_path / "linear.json"
+    path.write_text(serialize_scheme(binary_linear_scheme(random.Random(8), 8, 16)))
+    start = time.perf_counter()
+    code, out = run_cli(capsys, [command, str(path)])
+    assert time.perf_counter() - start < 10
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["exchange_ok"] if command == "bases" else doc["ok"]
 
 
 def test_check_mutation_detected(capsys, fixtures_dir, monkeypatch):

@@ -5,7 +5,13 @@ import tracemalloc
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from corpus import random_injective_scheme, random_scheme, scheme_from_profiles
+from corpus import (
+    binary_linear_scheme,
+    partition_scheme,
+    random_injective_scheme,
+    random_scheme,
+    scheme_from_profiles,
+)
 from discern import checks
 from discern.errors import BarrierError, LimitError
 from discern.matroid import (
@@ -62,6 +68,22 @@ def literal_greedy_mask(profiles, n: int) -> int:
         if all(pm & candidate for pm in pair_masks):
             mask = candidate
     return mask
+
+
+def literal_exchange_failure(bases) -> str | None:
+    """Oracle: the first (B1, B2, q) in base order, q in B1 - B2, for which
+    no q2 in B2 - B1 makes B1 - q + q2 a base, scanning every pair of bases."""
+    base_set = set(bases)
+    return next(
+        (
+            f"exchange fails for B1={sorted(b1)}, B2={sorted(b2)}, q={q}"
+            for b1 in bases
+            for b2 in bases
+            for q in sorted(b1 - b2)
+            if not any((b1 - {q}) | {q2} in base_set for q2 in b2 - b1)
+        ),
+        None,
+    )
 
 
 def greedy_dimension(scheme) -> int:
@@ -327,22 +349,32 @@ def test_basis_family_counterexamples_name_their_own_claim():
         k = rng.randint(2, 12)
         scheme = random_injective_scheme(rng, k, rng.randint((k - 1).bit_length(), 8))
         report = enumerate_minimal_distinguishing(scheme)
-        bases = set(report.bases)
         cardinality, exchange = checks.check_basis_family(scheme)
-        assert cardinality.ok == (len({len(b) for b in bases}) == 1)
+        assert cardinality.ok == (len({len(b) for b in report.bases}) == 1)
         if not cardinality.ok:
             assert cardinality.detail.startswith("minimal distinguishing sets of unequal size: ")
-        failures = [
-            f"exchange fails for B1={sorted(b1)}, B2={sorted(b2)}, q={q}"
-            for b1 in report.bases
-            for b2 in report.bases
-            for q in sorted(b1 - b2)
-            if not any((b1 - {q}) | {q2} in bases for q2 in b2 - b1)
-        ]
-        assert exchange.ok == (not failures)
-        assert exchange.detail == (failures[0] if failures else None)
+        failure = literal_exchange_failure(report.bases)
+        assert exchange.ok == (failure is None)
+        assert exchange.detail == failure
         both += not cardinality.ok and not exchange.ok
     assert both > 0
+
+
+def test_exchange_holds_on_matroid_schemes_as_the_pair_scan_says():
+    rng = random.Random(13)
+    reports = [
+        enumerate_minimal_distinguishing(binary_linear_scheme(rng, m, rng.randint(m, 2 * m)))
+        for m in range(1, 6)
+        for _ in range(4)
+    ]
+    for m in range(1, 5):
+        for r in range(1, 4):
+            reports.append(enumerate_minimal_distinguishing(partition_scheme(m, r)))
+            assert len(reports[-1].bases) == r**m
+    for report in reports:
+        assert literal_exchange_failure(report.bases) is None
+        assert report.exchange_ok and report.exchange_counterexample is None
+        assert report.equal_cardinality_ok and report.counterexample is None
 
 
 def test_exact_dimension_matches_brute_force():
@@ -437,6 +469,7 @@ def test_greedy_drop_one_hot_keeps_all_but_one():
 
 
 def test_block_dimension(s2):
+    assert block_dimension(s2, []) == block_dimension(s2, [], exact_limit=0) == 0
     assert block_dimension(s2, [0]) == 0
     assert block_dimension(s2, [0, 1]) == 1
     assert block_dimension(s2, range(4)) == 2

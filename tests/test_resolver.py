@@ -193,6 +193,7 @@ PARSE_ERRORS = {
     '{"mro": ["x"]}': ("expected a nonnegative integer", "mro[0]"),
     '{"mro": [1, 2.5]}': ("expected a nonnegative integer", "mro[1]"),
     '{"scopes": "s0"}': ("must be an array", "scopes"),
+    '{"scopes": ["s0", null]}': ("scope must be a string", "scopes[1]"),
     '{"ctx": []}': ("must be an object", "ctx"),
     '{"ctx": {"s0": {}}}': ("must be an array", "ctx['s0']"),
     '{"ctx": {"s0": [{"typ": 1}]}}': (ENTRY_SHAPE, "ctx['s0'][0]"),

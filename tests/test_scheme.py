@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from corpus import random_masses, random_scheme
-from discern import scheme as scheme_module
+from discern import errors, scheme as scheme_module
 from discern.errors import ParseError, ValidationError
 from discern.scheme import (
     ClassRecord,
@@ -123,6 +123,7 @@ def test_parse_checks_each_bit_once(monkeypatch):
         real(*args)
 
     monkeypatch.setattr(scheme_module, "expect", counting)
+    monkeypatch.setattr(errors, "expect", counting)  # as ``expect_each`` looks it up
     counts = []
     for n in (2, 40):
         calls.clear()

@@ -666,22 +666,17 @@ def test_one_hot_at_the_class_limit_is_fast():
 
 
 def test_bounded_search_prunes(monkeypatch):
-    # The search reduces each mask it solves once.  The pruned search
-    # solves 67 masks on this scheme; skipping an attribute only when its
-    # bound exceeds the best depth, instead of reaching it, solves 92, and
-    # the unbounded search 505.
-    solved = []
-    reducer = trees._distinct_reducer
-
-    def counting(scheme, start):
-        reduce = reducer(scheme, start)
-        return lambda mask: solved.append(mask) or reduce(mask)
-
-    monkeypatch.setattr(trees, "_distinct_reducer", counting)
+    # The search bounds each non-leaf mask it solves once.  The pruned
+    # search solves 67 masks on this scheme, 24 of them leaves; skipping an
+    # attribute only when its bound exceeds the best depth, instead of
+    # reaching it, solves 92, and the unbounded search 505.
+    bounded = []
+    bound = trees._depth_bound
+    monkeypatch.setattr(trees, "_depth_bound", lambda *a: bounded.append(a) or bound(*a))
     optimal_decision_tree.cache_clear()
     tree = optimal_decision_tree(random_injective_scheme(random.Random(8), 24, 8))
     assert tree.depth == 5
-    assert len(solved) <= 67
+    assert len(bounded) <= 43
 
 
 def test_skip_threshold_inverts_the_bound():
