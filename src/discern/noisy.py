@@ -157,7 +157,6 @@ def simulate_noisy_identification(scheme: Scheme, cfg: NoiseConfig) -> NoiseResu
     rng = np.random.Generator(np.random.Philox(cfg.seed))
     masses = np.asarray(scheme.masses)
     masses = masses / masses.sum()
-    bits = np.array([c.profile.bits for c in scheme.classes], dtype=bool)
     attribute, zero, one, leaf = _flat_tree(tree)
 
     total_queries = 0
@@ -169,7 +168,7 @@ def simulate_noisy_identification(scheme: Scheme, cfg: NoiseConfig) -> NoiseResu
         while active.size:
             at = node[active]
             wrong = rng.binomial(reps, cfg.epsilon, size=active.size) > reps // 2
-            observed = bits[truth[active], attribute[at]] ^ wrong
+            observed = scheme.bits[truth[active], attribute[at]] ^ wrong
             node[active] = np.where(observed, one[at], zero[at])
             total_queries += reps * active.size
             active = active[leaf[node[active]] < 0]

@@ -9,8 +9,10 @@ validated, immutable ``Scheme``.  Each rule lives in one place:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
+
+import numpy as np
 
 from .errors import ValidationError, decode_json, expect, expect_each
 
@@ -34,13 +36,6 @@ class Profile:
     def __getitem__(self, i: int) -> int:
         return self.bits[i]
 
-    def as_int(self) -> int:
-        """Pack bits into an integer, attribute 0 in the lowest bit."""
-        value = 0
-        for i, b in enumerate(self.bits):
-            value |= b << i
-        return value
-
 
 @dataclass(frozen=True)
 class ClassRecord:
@@ -54,13 +49,14 @@ class ClassRecord:
 class Scheme:
     """k classes over n binary attributes with per-class probability mass.
 
-    Immutable after construction; all package operations are pure functions
-    of a scheme, so instances are safe to share across threads.
+    ``masses=None`` means uniform 1/k; given masses need one entry per
+    class.  Immutable after construction; all package operations are pure
+    functions of a scheme, so instances are safe to share across threads.
     """
 
     attributes: tuple[str, ...]
     classes: tuple[ClassRecord, ...]
-    masses: tuple[float, ...] = field(default=())
+    masses: tuple[float, ...] | None = None
 
     def __post_init__(self):
         if len(self.classes) < 1:
@@ -78,7 +74,7 @@ class Scheme:
                     f"profile has length {len(record.profile)}, expected {n}",
                     f"classes[{i}].profile",
                 )
-        if not self.masses:
+        if self.masses is None:
             object.__setattr__(self, "masses", tuple(1.0 / len(self.classes) for _ in self.classes))
         if len(self.masses) != len(self.classes):
             raise ValidationError(
@@ -102,9 +98,11 @@ class Scheme:
 
     def __getstate__(self) -> dict:
         # String hashes differ between processes: a stored hash must not
-        # outlive the process that computed it.
+        # outlive the process that computed it.  An unpickled array is
+        # writable, so ``bits`` is rebuilt read-only on first use instead.
         state = dict(self.__dict__)
         state.pop("_hash", None)
+        state.pop("bits", None)
         return state
 
     @property
@@ -120,20 +118,21 @@ class Scheme:
         return tuple(c.name for c in self.classes)
 
     @cached_property
+    def bits(self) -> np.ndarray:
+        """Read-only k x n boolean matrix of the profiles."""
+        matrix = np.array([c.profile.bits for c in self.classes], dtype=bool)
+        matrix.flags.writeable = False
+        return matrix
+
+    @cached_property
     def profile_ints(self) -> tuple[int, ...]:
         """Per-class packed profiles (attribute q in bit q)."""
-        return tuple(c.profile.as_int() for c in self.classes)
+        return _pack_rows(self.bits)
 
     @cached_property
     def column_masks(self) -> tuple[int, ...]:
         """Per-attribute bitmask over classes (class c in bit c)."""
-        masks = []
-        for q in range(self.n):
-            mask = 0
-            for c, record in enumerate(self.classes):
-                mask |= record.profile[q] << c
-            masks.append(mask)
-        return tuple(masks)
+        return _pack_rows(self.bits.T)
 
     @cached_property
     def quotient(self) -> tuple[tuple[int, ...], ...]:
@@ -156,6 +155,12 @@ class Scheme:
             if record.name == class_name:
                 return i
         raise KeyError(class_name)
+
+
+def _pack_rows(matrix: np.ndarray) -> tuple[int, ...]:
+    """Each row of a boolean matrix as an integer, column j in bit j."""
+    packed = np.packbits(matrix, axis=1, bitorder="little")
+    return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
 
 
 def profile_of(scheme: Scheme, class_index: int) -> Profile:
@@ -204,7 +209,7 @@ def parse_scheme(text: str, renormalize: bool = False) -> Scheme:
             expect_each(raw_profile, int, "profile entry must be an integer", f"classes[{i}].profile")
             raise ValidationError(exc.message, f"classes[{i}].{exc.path}") from exc
 
-    masses: tuple[float, ...] = ()
+    masses = None
     if "masses" in doc:
         raw_masses = doc["masses"]
         expect(isinstance(raw_masses, list), "must be an array", "masses")

@@ -81,11 +81,25 @@ def _profile_units(scheme: Scheme) -> list[tuple[int, ...]]:
     return sorted(scheme.quotient, key=lambda b: (scheme.classes[b[0]].profile.bits, b[0]))
 
 
-def _group_dimension(scheme: Scheme, members: frozenset, dim_cache: dict) -> int:
-    """``block_dimension`` of ``members``, computed once per ``dim_cache``."""
+def _group_dimension(scheme: Scheme, units, dim_cache: dict) -> int:
+    """``block_dimension`` of the classes in ``units``, computed once per
+    ``dim_cache``.  A group of at most one class needs no query."""
+    members = frozenset(c for unit in units for c in unit)
+    if len(members) <= 1:
+        return 0
     if members not in dim_cache:
-        dim_cache[members] = matroid.block_dimension(scheme, members) if members else 0
+        dim_cache[members] = matroid.block_dimension(scheme, members)
     return dim_cache[members]
+
+
+def _trial_moves(groups: list[list[tuple[int, ...]]]):
+    """Trial moves ``(src, unit, dst)`` in search order.  The units of
+    ``src`` are read when the search reaches ``src``."""
+    for src in range(len(groups)):
+        for unit in list(groups[src]):
+            for dst in range(len(groups)):
+                if dst != src:
+                    yield src, unit, dst
 
 
 def tag_partition(
@@ -97,14 +111,15 @@ def tag_partition(
     fewer, colliding classes stay in one group (splitting them would fake
     a zero-distortion point below the converse bound), and a move-based
     local search balances the per-group distinguishing dimension.  The
-    search keeps the block dimension of every member set it evaluates in
-    ``dim_cache`` (a fresh dict if none is given), the final groups' too.
+    search keeps the block dimension of every member set of two or more
+    classes it evaluates in ``dim_cache`` (a fresh dict if none is given),
+    the final groups' too.
 
     A trial move of one unit from ``src`` to ``dst`` is accepted iff every
     group then sits below the objective (the largest group dimension
     before the move).  The objective is an integer in [0, n] and every
-    accepted move lowers it, so the search accepts at most n moves and
-    needs no cap of its own.  Three rules skip evaluations on the way to it:
+    accepted move lowers it by at least 1, so the search accepts at most
+    n moves.  Three rules skip evaluations on the way to each verdict:
     the move is rejected without evaluating anything when a group other
     than ``src`` and ``dst`` already sits at the objective; the shrunken
     ``src`` is evaluated before the grown ``dst``; and ``dst`` is rejected
@@ -135,36 +150,29 @@ def tag_partition(
     if dim_cache is None:
         dim_cache = {}
 
-    def group_dim(group: list[tuple[int, ...]]) -> int:
-        return _group_dimension(scheme, frozenset(c for unit in group for c in unit), dim_cache)
+    def accept(move) -> bool:
+        """Apply ``move`` and keep it iff every group then sits below this
+        pass's objective."""
+        src, unit, dst = move
+        groups[src].remove(unit)
+        groups[dst].append(unit)
+        if (
+            at_objective == (dims[src] == objective) + (dims[dst] == objective)
+            and _group_dimension(scheme, groups[src], dim_cache) < objective
+            and (len(groups[dst]) - 1).bit_length() < objective
+            and _group_dimension(scheme, groups[dst], dim_cache) < objective
+        ):
+            return True
+        groups[dst].remove(unit)
+        groups[src].append(unit)
+        return False
 
-    improved = True
-    while improved:
-        improved = False
-        dims = [group_dim(g) for g in groups]
+    while True:
+        dims = [_group_dimension(scheme, g, dim_cache) for g in groups]
         objective = max(dims)
         at_objective = dims.count(objective)
-        for src in range(block_count):
-            for unit in list(groups[src]):
-                for dst in range(block_count):
-                    if dst == src:
-                        continue
-                    groups[src].remove(unit)
-                    groups[dst].append(unit)
-                    if (
-                        at_objective == (dims[src] == objective) + (dims[dst] == objective)
-                        and group_dim(groups[src]) < objective
-                        and (len(groups[dst]) - 1).bit_length() < objective
-                        and group_dim(groups[dst]) < objective
-                    ):
-                        improved = True
-                        break
-                    groups[dst].remove(unit)
-                    groups[src].append(unit)
-                if improved:
-                    break
-            if improved:
-                break
+        if not any(accept(move) for move in _trial_moves(groups)):
+            break
 
     final = [sorted(c for unit in g for c in unit) for g in groups if g]
     return tuple(tuple(g) for g in sorted(final, key=lambda g: g[0]))
@@ -186,33 +194,17 @@ class TagPlan:
     exhaustive_max_group_dimension: int | None = None
 
 
-def _exhaustive_best_dimension(scheme: Scheme, block_limit: int, dim_cache: dict) -> int:
-    """Minimum over all unit partitions into <= block_limit groups of the
-    max per-group dimension.  Collision blocks stay atomic."""
-    units = _profile_units(scheme)
-
-    def group_dim(blocks_entry) -> int:
-        members = frozenset(c for unit in blocks_entry for c in unit)
-        return _group_dimension(scheme, members, dim_cache)
-
-    best = scheme.n + 1
-
-    def assign(i: int, blocks: list[list[tuple[int, ...]]]):
-        nonlocal best
-        if i == len(units):
-            best = min(best, max(group_dim(b) for b in blocks))
-            return
-        for block in blocks:
-            block.append(units[i])
-            assign(i + 1, blocks)
-            block.pop()
-        if len(blocks) < block_limit:
-            blocks.append([units[i]])
-            assign(i + 1, blocks)
-            blocks.pop()
-
-    assign(0, [])
-    return best
+def _unit_partitions(units: list[tuple[int, ...]], block_limit: int):
+    """Every partition of ``units`` into at most ``block_limit`` groups, once each."""
+    if not units:
+        yield []
+        return
+    first = units[0]
+    for groups in _unit_partitions(units[1:], block_limit):
+        for i in range(len(groups)):
+            yield [*groups[:i], [first, *groups[i]], *groups[i + 1:]]
+        if len(groups) < block_limit:
+            yield [[first], *groups]
 
 
 def hybrid_tag_plan(scheme: Scheme, L: int) -> TagPlan:
@@ -226,14 +218,17 @@ def hybrid_tag_plan(scheme: Scheme, L: int) -> TagPlan:
     """
     dim_cache: dict[frozenset, int] = {}
     groups = tag_partition(scheme, L, dim_cache=dim_cache)
-    plan_dim = max((_group_dimension(scheme, frozenset(g), dim_cache) for g in groups), default=0)
+    plan_dim = max(_group_dimension(scheme, [g], dim_cache) for g in groups)
     exhaustive_dim = None
     if (
         L < tag_bits_for(scheme.k)
         and scheme.k <= EXHAUSTIVE_PARTITION_CLASS_LIMIT
         and (1 << L) <= EXHAUSTIVE_PARTITION_BLOCK_LIMIT
     ):
-        exhaustive_dim = _exhaustive_best_dimension(scheme, 1 << L, dim_cache)
+        exhaustive_dim = min(
+            max(_group_dimension(scheme, g, dim_cache) for g in partition)
+            for partition in _unit_partitions(_profile_units(scheme), 1 << L)
+        )
     return TagPlan(
         groups=groups,
         L=L,

@@ -220,17 +220,3 @@ def walk(tree: DecisionTree, profile_bits) -> tuple[list[int], TreeNode]:
         queried.append(node.attribute)
         node = node.one if profile_bits[node.attribute] else node.zero
     return queried, node
-
-
-def tree_to_dict(node: TreeNode) -> dict:
-    """Nested JSON-ready form for inspection; iterative, so any depth works."""
-    root: dict = {}
-    stack = [(node, root)]
-    while stack:
-        node, doc = stack.pop()
-        if node.is_leaf:
-            doc["candidates"] = list(node.candidates)
-        else:
-            doc.update(attribute=node.attribute, candidates=list(node.candidates), zero={}, one={})
-            stack += ((node.zero, doc["zero"]), (node.one, doc["one"]))
-    return root

@@ -7,14 +7,14 @@ from discern.resolver import ConfigInstance, ResolveScenario
 from discern.scheme import ClassRecord, Profile, Scheme
 
 
-def scheme_from_profiles(profiles, masses=(), attributes=None) -> Scheme:
+def scheme_from_profiles(profiles, masses=None, attributes=None) -> Scheme:
     n = len(profiles[0]) if profiles else 0
     if attributes is None:
         attributes = tuple(f"a{j}" for j in range(n))
     records = tuple(
         ClassRecord(f"c{i}", Profile(tuple(bits))) for i, bits in enumerate(profiles)
     )
-    return Scheme(tuple(attributes), records, tuple(masses))
+    return Scheme(tuple(attributes), records, None if masses is None else tuple(masses))
 
 
 def random_masses(rng: random.Random, k: int) -> tuple[float, ...]:
@@ -25,7 +25,7 @@ def random_masses(rng: random.Random, k: int) -> tuple[float, ...]:
 
 def random_scheme(rng: random.Random, k: int, n: int, with_masses: bool = False) -> Scheme:
     profiles = [tuple(rng.randint(0, 1) for _ in range(n)) for _ in range(k)]
-    masses = random_masses(rng, k) if with_masses else ()
+    masses = random_masses(rng, k) if with_masses else None
     return scheme_from_profiles(profiles, masses)
 
 
@@ -35,7 +35,7 @@ def random_injective_scheme(rng: random.Random, k: int, n: int, with_masses: boo
     seen: set[tuple[int, ...]] = set()
     while len(seen) < k:
         seen.add(tuple(rng.randint(0, 1) for _ in range(n)))
-    masses = random_masses(rng, k) if with_masses else ()
+    masses = random_masses(rng, k) if with_masses else None
     return scheme_from_profiles(sorted(seen), masses)
 
 
@@ -47,7 +47,7 @@ def random_colliding_scheme(rng: random.Random, k: int, n: int, with_masses: boo
     while dst == src:
         dst = rng.randrange(k)
     profiles[dst] = profiles[src]
-    masses = random_masses(rng, k) if with_masses else ()
+    masses = random_masses(rng, k) if with_masses else None
     return scheme_from_profiles(profiles, masses)
 
 

@@ -175,6 +175,19 @@ def test_nan_mass_is_a_validation_error(capsys, tmp_path):
     }
 
 
+def test_empty_masses_are_a_validation_error(capsys, tmp_path):
+    # An explicit empty array is a count fault, not "no masses given".
+    path = tmp_path / "empty_masses.json"
+    path.write_text('{"attributes": ["p"], "classes": [{"name": "A", "profile": [0]}, '
+                    '{"name": "B", "profile": [1]}], "masses": []}')
+    code, out = run_cli(capsys, ["analyze", str(path)])
+    assert code == 2
+    assert out == json.dumps(
+        {"error": {"type": "ValidationError", "message": "masses: got 0 masses for 2 classes"}},
+        indent=2,
+    ) + "\n"
+
+
 def test_one_hot_tree_deeper_than_the_recursion_limit(capsys, tmp_path):
     # One-hot k=n=1200: the greedy tree is a 1199-level chain, deeper than
     # Python's default recursion limit of 1000.  About 5 s on a 2-vCPU host.

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from corpus import random_masses, random_scheme
+from corpus import random_masses, random_scheme, scheme_from_profiles
 from discern import errors, scheme as scheme_module
 from discern.errors import ParseError, ValidationError
 from discern.scheme import (
@@ -78,6 +78,22 @@ def test_renormalize_is_explicit_only():
         parse_scheme(json.dumps(doc))
     scheme = parse_scheme(json.dumps(doc), renormalize=True)
     assert scheme.masses == (0.75, 0.25)
+
+
+@pytest.mark.parametrize("renormalize", [False, True])
+def test_empty_masses_rejected(renormalize):
+    doc = json.loads(MINIMAL)
+    doc["masses"] = []
+    with pytest.raises(ValidationError) as exc:
+        parse_scheme(json.dumps(doc), renormalize=renormalize)
+    assert (exc.value.path, exc.value.message) == ("masses", "got 0 masses for 2 classes")
+
+
+def test_omitted_masses_are_uniform_for_library_callers():
+    records = (ClassRecord("A", Profile((0,))), ClassRecord("B", Profile((1,))))
+    assert Scheme(("p",), records).masses == Scheme(("p",), records, None).masses == (0.5, 0.5)
+    with pytest.raises(ValidationError, match="got 0 masses for 2 classes"):
+        Scheme(("p",), records, ())
 
 
 def test_profile_bit_domain():
@@ -214,3 +230,38 @@ def test_unpickled_scheme_hashes_in_its_own_process():
     optimal_decision_tree(fresh)
     optimal_decision_tree(clone)
     assert optimal_decision_tree.cache_info().hits == 1
+
+
+def literal_packing(scheme):
+    """Oracle: profiles and columns packed one bit at a time."""
+    rows = [c.profile.bits for c in scheme.classes]
+    profile_ints = tuple(sum(b << q for q, b in enumerate(row)) for row in rows)
+    column_masks = tuple(
+        sum(row[q] << c for c, row in enumerate(rows)) for q in range(scheme.n)
+    )
+    return rows, profile_ints, column_masks
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 64, 65, 130])
+@pytest.mark.parametrize("k", [1, 7, 8, 9, 70])
+def test_packing_matches_literal_bits(k, n):
+    scheme = random_scheme(random.Random(k * 1000 + n), k, n)
+    rows, profile_ints, column_masks = literal_packing(scheme)
+    assert scheme.bits.dtype == bool and scheme.bits.shape == (k, n)
+    assert scheme.bits.tolist() == [[bool(b) for b in row] for row in rows]
+    assert scheme.profile_ints == profile_ints
+    assert scheme.column_masks == column_masks
+
+
+@pytest.mark.parametrize("k", [1, 8, 9, 70])
+def test_packing_one_hot(k):
+    scheme = scheme_from_profiles([[int(q == c) for q in range(k)] for c in range(k)])
+    assert scheme.profile_ints == scheme.column_masks == tuple(1 << c for c in range(k))
+    assert literal_packing(scheme)[1:] == (scheme.profile_ints, scheme.column_masks)
+
+
+def test_bits_are_read_only(s2):
+    s2.bits
+    for scheme in (s2, pickle.loads(pickle.dumps(s2))):
+        with pytest.raises(ValueError):
+            scheme.bits[0, 0] = not scheme.bits[0, 0]

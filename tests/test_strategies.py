@@ -1,8 +1,6 @@
 import itertools
-import json
 import math
 import random
-import sys
 import time
 
 import pytest
@@ -42,7 +40,6 @@ from discern.trees import (
     adaptive_tree,
     greedy_decision_tree,
     optimal_decision_tree,
-    tree_to_dict,
     walk,
 )
 
@@ -260,48 +257,6 @@ def test_no_attribute_repeats_on_any_path():
                 assert len(path) == len(set(path))
 
 
-def test_tree_serialization(s2):
-    doc = tree_to_dict(optimal_decision_tree(s2).root)
-    assert doc["attribute"] in (0, 1)
-    assert doc["candidates"] == [0, 1, 2, 3]
-    assert "zero" in doc and "one" in doc
-
-
-def recursive_tree_to_dict(node) -> dict:
-    """Reference: the nested form built by recursion."""
-    if node.is_leaf:
-        return {"candidates": list(node.candidates)}
-    return {
-        "attribute": node.attribute,
-        "candidates": list(node.candidates),
-        "zero": recursive_tree_to_dict(node.zero),
-        "one": recursive_tree_to_dict(node.one),
-    }
-
-
-def test_tree_serialization_matches_recursive_reference():
-    rng = random.Random(61)
-    for _ in range(30):
-        k = rng.randint(1, 10)
-        scheme = random_scheme(rng, k, max(rng.randint(0, 6), (k - 1).bit_length()))
-        for tree in (optimal_decision_tree(scheme), greedy_decision_tree(scheme)):
-            doc = tree_to_dict(tree.root)
-            # Equal key order too, so the JSON text is the same.
-            assert json.dumps(doc) == json.dumps(recursive_tree_to_dict(tree.root))
-
-
-def test_tree_serialization_deeper_than_the_recursion_limit():
-    depth = sys.getrecursionlimit() + 100
-    node = TreeNode(None, (depth,))
-    for c in reversed(range(depth)):
-        node = TreeNode(c, tuple(range(c, depth + 1)), TreeNode(None, (c,)), node)
-    doc = tree_to_dict(node)
-    for c in range(depth):
-        assert (doc["attribute"], doc["zero"]) == (c, {"candidates": [c]})
-        doc = doc["one"]
-    assert doc == {"candidates": [depth]}
-
-
 def brute_force_decoder_minimum(scheme) -> float:
     """Oracle: enumerate every profile -> class decoder."""
     observed = sorted(set(scheme.profile_ints))
@@ -430,6 +385,57 @@ def test_pruned_tag_partition_matches_full_evaluation_at_scale():
         assert moves <= initial_objective, L
 
 
+def literal_exhaustive_best_dimension(scheme, block_limit):
+    """Oracle: the recursive exhaustive partition search the plan once
+    ran, with a plain block-dimension cache of its own."""
+    units = sorted(scheme.quotient, key=lambda b: (scheme.classes[b[0]].profile.bits, b[0]))
+    dims = {}
+
+    def group_dim(blocks_entry) -> int:
+        members = frozenset(c for unit in blocks_entry for c in unit)
+        if members not in dims:
+            dims[members] = matroid.block_dimension(scheme, members) if members else 0
+        return dims[members]
+
+    best = scheme.n + 1
+
+    def assign(i, blocks):
+        nonlocal best
+        if i == len(units):
+            best = min(best, max(group_dim(b) for b in blocks))
+            return
+        for block in blocks:
+            block.append(units[i])
+            assign(i + 1, blocks)
+            block.pop()
+        if len(blocks) < block_limit:
+            blocks.append([units[i]])
+            assign(i + 1, blocks)
+            blocks.pop()
+
+    assign(0, [])
+    return best
+
+
+def test_exhaustive_reference_matches_recursive_search():
+    rng = random.Random(62)
+    for i in range(30):
+        k = rng.randint(2, 10)
+        n = rng.randint((k - 1).bit_length(), 6)
+        if i % 2:
+            scheme = random_colliding_scheme(rng, k, n)
+        else:
+            scheme = random_injective_scheme(rng, k, n)
+        for L in (1, 2):
+            plan = hybrid_tag_plan(scheme, L)
+            if L >= tag_bits_for(k):
+                assert plan.exhaustive_max_group_dimension is None
+            else:
+                assert plan.exhaustive_max_group_dimension == literal_exhaustive_best_dimension(
+                    scheme, 1 << L
+                ), (i, L)
+
+
 def test_tag_partition_keeps_collisions_together(s1):
     rng = random.Random(26)
     for _ in range(20):
@@ -532,7 +538,7 @@ def schemes_with_groups(draw):
         pool = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=size, unique=True))
         profile_ints = draw(st.lists(st.sampled_from(pool), min_size=k, max_size=k))
     members = draw(st.permutations(range(k)))[: draw(st.integers(1, k))]
-    masses = ()
+    masses = None
     weighting = draw(st.sampled_from(("uniform", "random", "zero-group")))
     if weighting == "random":
         weights = draw(st.lists(st.integers(1, 9), min_size=k, max_size=k))

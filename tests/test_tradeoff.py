@@ -188,6 +188,19 @@ def test_plan_computes_each_group_dimension_once(monkeypatch):
         assert set(map(frozenset, plan.groups)) <= set(calls)
 
 
+def test_full_width_plan_makes_no_dimension_call(monkeypatch):
+    # Every group is one class, and one profile needs no query.
+    rng = random.Random(63)
+    schemes = [random_injective_scheme(rng, 20, 16), random_colliding_scheme(rng, 9, 4)]
+    calls = block_dimension_calls(monkeypatch)
+    for scheme in schemes:
+        L = tag_bits_for(scheme.k)
+        plan = hybrid_tag_plan(scheme, L)
+        assert plan.groups == tuple((c,) for c in range(scheme.k))
+        assert plan.max_group_dimension == 0
+    assert calls == []
+
+
 def test_exhaustive_reference_shares_the_plan_dimensions(monkeypatch):
     rng = random.Random(37)
     calls = block_dimension_calls(monkeypatch)
