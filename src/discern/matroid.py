@@ -154,18 +154,13 @@ def closure(scheme: Scheme, X) -> frozenset[int]:
     """cl(X): every attribute q such that X-agreement forces q-agreement.
 
     Classes are grouped by ``p & X``; an attribute varies within a group
-    iff it is set in the group's OR but not in its AND.
+    iff some member differs there from the group's first member.
     """
     x_mask = _to_mask(X, scheme.n)
-    ors: dict[int, int] = {}
-    ands: dict[int, int] = {}
-    for p in scheme.profile_ints:
-        key = p & x_mask
-        ors[key] = ors.get(key, 0) | p
-        ands[key] = ands.get(key, p) & p
+    first: dict[int, int] = {}
     varying = 0
-    for key, ored in ors.items():
-        varying |= ored ^ ands[key]
+    for p in scheme.profile_ints:
+        varying |= p ^ first.setdefault(p & x_mask, p)
     return _to_set(((1 << scheme.n) - 1) & ~varying)
 
 

@@ -120,22 +120,22 @@ def reference_bound(cfg: NoiseConfig) -> float:
 
 def _flat_tree(tree: DecisionTree) -> tuple[np.ndarray, ...]:
     """Parallel arrays over the nodes, root first: the queried attribute,
-    the child for answer 0 and for answer 1, and the leaf's class; -1
-    where a field does not apply."""
+    the child for answer 0 (the child for answer 1 is the next node), and
+    the leaf's class; -1 where a field does not apply."""
     nodes = [tree.root]
     for node in nodes:  # grows while it is read: breadth-first numbering
         if not node.is_leaf:
             nodes += (node.zero, node.one)
-    index = {id(node): i for i, node in enumerate(nodes)}
-    attribute, zero, one, leaf = (np.full(len(nodes), -1, dtype=np.intp) for _ in range(4))
+    attribute, child, leaf = (np.full(len(nodes), -1, dtype=np.intp) for _ in range(3))
+    next_child = 1
     for i, node in enumerate(nodes):
         if node.is_leaf:
             leaf[i] = node.candidates[0]
         else:
             attribute[i] = node.attribute
-            zero[i] = index[id(node.zero)]
-            one[i] = index[id(node.one)]
-    return attribute, zero, one, leaf
+            child[i] = next_child
+            next_child += 2
+    return attribute, child, leaf
 
 
 def simulate_noisy_identification(scheme: Scheme, cfg: NoiseConfig) -> NoiseResult:
@@ -157,7 +157,7 @@ def simulate_noisy_identification(scheme: Scheme, cfg: NoiseConfig) -> NoiseResu
     rng = np.random.Generator(np.random.Philox(cfg.seed))
     masses = np.asarray(scheme.masses)
     masses = masses / masses.sum()
-    attribute, zero, one, leaf = _flat_tree(tree)
+    attribute, child, leaf = _flat_tree(tree)
 
     total_queries = 0
     errors = 0
@@ -169,7 +169,7 @@ def simulate_noisy_identification(scheme: Scheme, cfg: NoiseConfig) -> NoiseResu
             at = node[active]
             wrong = rng.binomial(reps, cfg.epsilon, size=active.size) > reps // 2
             observed = scheme.bits[truth[active], attribute[at]] ^ wrong
-            node[active] = np.where(observed, one[at], zero[at])
+            node[active] = child[at] + observed
             total_queries += reps * active.size
             active = active[leaf[node[active]] < 0]
         errors += int(np.count_nonzero(leaf[node] != truth))

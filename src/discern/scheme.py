@@ -33,9 +33,6 @@ class Profile:
     def __len__(self) -> int:
         return len(self.bits)
 
-    def __getitem__(self, i: int) -> int:
-        return self.bits[i]
-
 
 @dataclass(frozen=True)
 class ClassRecord:

@@ -77,8 +77,8 @@ class Transcript:
 
 
 def _profile_units(scheme: Scheme) -> list[tuple[int, ...]]:
-    """Profile-quotient blocks ordered by profile bits (ties by index)."""
-    return sorted(scheme.quotient, key=lambda b: (scheme.classes[b[0]].profile.bits, b[0]))
+    """Profile-quotient blocks ordered by profile bits (distinct per block)."""
+    return sorted(scheme.quotient, key=lambda b: scheme.classes[b[0]].profile.bits)
 
 
 def _group_dimension(scheme: Scheme, units, dim_cache: dict) -> int:
@@ -139,13 +139,15 @@ def tag_partition(
     block_count = min(1 << tag_bits, len(units))
 
     groups: list[list[tuple[int, ...]]] = [[] for _ in range(block_count)]
-    filled = 0
+    filled = size = 0
     for unit in units:
-        # Contiguous fill, switching blocks once the even share is reached.
-        target = (filled + 1) * k // block_count if filled < block_count - 1 else k
+        # Contiguous fill: a block closes at the cumulative share, not its
+        # even share (ROADMAP item 6), kept so plans stay byte-identical.
         groups[filled].append(unit)
-        if sum(len(u) for u in groups[filled]) >= target and filled < block_count - 1:
+        size += len(unit)
+        if filled < block_count - 1 and size >= (filled + 1) * k // block_count:
             filled += 1
+            size = 0
 
     if dim_cache is None:
         dim_cache = {}

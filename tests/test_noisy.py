@@ -9,8 +9,13 @@ import pytest
 from corpus import random_injective_scheme, scheme_from_profiles, table1_scheme
 from discern.errors import BarrierError, ConfigError
 from discern.noisy import (
+    BLOCK_TRIALS,
     NoiseConfig,
+    NoiseResult,
+    RNG_NAME,
+    _flat_tree,
     majority_error,
+    reference_bound,
     repetitions_for,
     simulate_noisy_identification,
     simulate_tagged,
@@ -41,6 +46,72 @@ def bernoulli_walk(scheme, cfg):
         queries.append(count)
         errors.append(node.candidates[0] != true_class)
     return np.array(queries, dtype=float), np.array(errors, dtype=float)
+
+
+def where_flat_tree(tree):
+    """Reference: parallel arrays with both children of every internal node
+    looked up by node identity, as the walk read them before it kept one
+    child index."""
+    nodes = [tree.root]
+    for node in nodes:
+        if not node.is_leaf:
+            nodes += (node.zero, node.one)
+    index = {id(node): i for i, node in enumerate(nodes)}
+    attribute, zero, one, leaf = (np.full(len(nodes), -1, dtype=np.intp) for _ in range(4))
+    for i, node in enumerate(nodes):
+        if node.is_leaf:
+            leaf[i] = node.candidates[0]
+        else:
+            attribute[i] = node.attribute
+            zero[i] = index[id(node.zero)]
+            one[i] = index[id(node.one)]
+    return attribute, zero, one, leaf
+
+
+def where_walk(scheme, cfg):
+    """Reference: the blocked binomial walk, choosing each next node with
+    ``np.where`` over the two looked-up children."""
+    tree = adaptive_tree(scheme)
+    depth = tree.depth
+    reps = repetitions_for(cfg.epsilon, cfg.delta / depth) if depth else 1
+    rng = np.random.Generator(np.random.Philox(cfg.seed))
+    masses = np.asarray(scheme.masses)
+    masses = masses / masses.sum()
+    attribute, zero, one, leaf = where_flat_tree(tree)
+    total_queries = 0
+    errors = 0
+    for start in range(0, cfg.trials, BLOCK_TRIALS):
+        truth = rng.choice(scheme.k, size=min(BLOCK_TRIALS, cfg.trials - start), p=masses)
+        node = np.zeros(truth.size, dtype=np.intp)
+        active = np.flatnonzero(leaf[node] < 0)
+        while active.size:
+            at = node[active]
+            wrong = rng.binomial(reps, cfg.epsilon, size=active.size) > reps // 2
+            observed = scheme.bits[truth[active], attribute[at]] ^ wrong
+            node[active] = np.where(observed, one[at], zero[at])
+            total_queries += reps * active.size
+            active = active[leaf[node[active]] < 0]
+        errors += int(np.count_nonzero(leaf[node] != truth))
+    return NoiseResult(
+        mean_queries=total_queries / cfg.trials,
+        empirical_error=errors / cfg.trials,
+        reference_bound=reference_bound(cfg),
+        tagged_queries=1,
+        repetitions=reps,
+        tree_depth=depth,
+        seed=cfg.seed,
+        rng=RNG_NAME,
+    )
+
+
+def walk_reference_schemes():
+    rng = random.Random(20261019)
+    schemes = [scheme_from_profiles([(0, 1)])]  # one class: depth 0
+    for _ in range(12):
+        k = rng.randint(2, 40)
+        n = rng.randint(max(1, (k - 1).bit_length()), 16)
+        schemes.append(random_injective_scheme(rng, k, n, with_masses=rng.random() < 0.5))
+    return schemes
 
 
 def full_tail_sum(r, epsilon):
@@ -188,6 +259,31 @@ def test_binomial_walk_matches_bernoulli_reference(epsilon):
         assert abs(batched - reference.mean()) <= 5 * standard_error, (
             epsilon, batched, reference.mean(), standard_error
         )
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 0.1, 0.3])
+def test_child_index_walk_matches_where_reference(epsilon):
+    for i, scheme in enumerate(walk_reference_schemes()):
+        cfg = NoiseConfig(epsilon, 0.1, 1 + 97 * i, 100 + i)
+        assert simulate_noisy_identification(scheme, cfg) == where_walk(scheme, cfg), (i, cfg)
+
+
+def test_child_index_walk_matches_where_reference_across_blocks():
+    scheme = random_injective_scheme(random.Random(5), 12, 6, with_masses=True)
+    cfg = NoiseConfig(0.2, 0.05, 2 * BLOCK_TRIALS + 5, 9)
+    assert simulate_noisy_identification(scheme, cfg) == where_walk(scheme, cfg)
+
+
+def test_flat_tree_children_reach_the_walked_leaf():
+    for scheme in [*walk_reference_schemes(), table1_scheme()]:
+        tree = adaptive_tree(scheme)
+        attribute, child, leaf = _flat_tree(tree)
+        for c in range(scheme.k):
+            bits = scheme.classes[c].profile.bits
+            node = 0
+            while leaf[node] < 0:
+                node = child[node] + bits[attribute[node]]
+            assert leaf[node] == walk(tree, bits)[1].candidates[0] == c
 
 
 def test_noiseless_walk_follows_the_drawn_classes():

@@ -9,6 +9,8 @@ change that should keep every output byte-identical must keep them.
 Regenerate only for an intended, recorded output change:
 
     PYTHONPATH=src:tests python tests/test_pinned_corpus.py
+
+The script prints the id of every case whose digest it changes.
 """
 from __future__ import annotations
 
@@ -122,9 +124,16 @@ def digests(where: Path) -> dict:
     return found
 
 
+def moved_cases(found: dict, pinned: dict) -> list[str]:
+    """Sorted ids, over both key sets, whose digest or exit code differs or
+    that only one side has."""
+    return sorted(case for case in found.keys() | pinned.keys() if found.get(case) != pinned.get(case))
+
+
 def test_outputs_match_pinned_digests(tmp_path):
     pinned = json.loads(PINNED.read_text(encoding="utf-8"))
-    assert digests(tmp_path) == pinned
+    moved = moved_cases(digests(tmp_path), pinned)
+    assert not moved, f"{len(moved)} of {len(pinned)} pinned outputs differ: {moved}"
 
 
 def test_corpus_reaches_groups_above_the_exact_tree_limit():
@@ -138,4 +147,7 @@ if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as where:
-        PINNED.write_text(json.dumps(digests(Path(where)), indent=1, sort_keys=True) + "\n", encoding="utf-8")
+        found = digests(Path(where))
+    for case in moved_cases(found, json.loads(PINNED.read_text(encoding="utf-8"))):
+        print(case)
+    PINNED.write_text(json.dumps(found, indent=1, sort_keys=True) + "\n", encoding="utf-8")

@@ -295,6 +295,19 @@ def test_tag_partition_s2(s2):
     assert tag_partition(s2, 0) == ((0, 1, 2, 3),)
 
 
+ITEM_6 = pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 6: the contiguous fill closes a block on the cumulative share, "
+    "so later tag values stay empty",
+)
+
+
+@pytest.mark.parametrize("L", [1, *(pytest.param(L, marks=ITEM_6) for L in (2, 3, 4))])
+def test_tag_partition_uses_every_tag_value(L):
+    scheme = table1_scheme(k=200)
+    assert len(tag_partition(scheme, L)) == min(2**L, len(scheme.quotient))
+
+
 def test_negative_tag_width_rejected(s2):
     for build in (tag_partition, hybrid_tag_plan):
         with pytest.raises(ValueError, match=r"^tag bits must be >= 0$"):
