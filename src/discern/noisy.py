@@ -9,6 +9,7 @@ A nominal tag is modeled as a noise-free side channel: one query, no error.
 """
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -85,14 +86,13 @@ def majority_error(r: int, epsilon: float) -> float:
 def repetitions_for(epsilon: float, target: float) -> int:
     """Smallest odd r with majority_error(r, epsilon) <= target.
 
-    Doubling probes r = 3, 7, 15, ... find a passing r, then bisection
-    narrows it to the smallest; a pair is refused as infeasible once the
-    doubling passes ``MAX_REPETITIONS``.  Each probe's tail sum stops at
-    its first absorbed term and is still exact (see ``majority_error``).
+    Doubling probes r = 1, 3, 7, 15, ... find a passing r, then ``bisect``
+    finds the smallest one past the last failing probe; a pair is refused
+    as infeasible once the doubling passes ``MAX_REPETITIONS``.  Each
+    probe's tail sum stops at its first absorbed term and is still exact
+    (see ``majority_error``).
     """
-    if majority_error(1, epsilon) <= target:
-        return 1
-    low, high = 1, 3
+    low, high = -1, 1
     while majority_error(high, epsilon) > target:
         low, high = high, high * 2 + 1
         if high > MAX_REPETITIONS:
@@ -100,16 +100,9 @@ def repetitions_for(epsilon: float, target: float) -> int:
                 f"no feasible repetition count below {MAX_REPETITIONS} for "
                 f"epsilon={epsilon}, per-node target={target}"
             )
-    # Invariant: low fails, high succeeds; both odd.
-    while high - low > 2:
-        mid = (low + high) // 2
-        if mid % 2 == 0:
-            mid += 1
-        if majority_error(mid, epsilon) <= target:
-            high = mid
-        else:
-            low = mid
-    return high
+    odd = range(low + 2, high + 1, 2)
+    first = bisect.bisect_left(odd, True, key=lambda r: majority_error(r, epsilon) <= target)
+    return odd[first]
 
 
 def reference_bound(cfg: NoiseConfig) -> float:
@@ -145,15 +138,16 @@ def simulate_noisy_identification(scheme: Scheme, cfg: NoiseConfig) -> NoiseResu
     counter-based generator, and the draws come in a fixed order.  Trials
     run in consecutive blocks of at most ``BLOCK_TRIALS``.  Each block
     draws the true class of all its trials with one ``choice``; then, one
-    tree level at a time, one ``binomial(reps, epsilon)`` flip count for
-    every trial still at an internal node, which moves to the child of
-    the true bit, inverted when the flips are a majority.
+    tree level at a time, one uniform per trial still at an internal node,
+    which moves to the child of the true bit, inverted when the uniform is
+    below ``majority_error(reps, epsilon)``, the exact chance of a wrong majority.
     """
     if not collisions(scheme).injective:
         raise BarrierError("noisy identification needs profile-injective classes")
     tree = adaptive_tree(scheme)
     depth = tree.depth
     reps = repetitions_for(cfg.epsilon, cfg.delta / depth) if depth else 1
+    p_wrong = majority_error(reps, cfg.epsilon)
     rng = np.random.Generator(np.random.Philox(cfg.seed))
     masses = np.asarray(scheme.masses)
     masses = masses / masses.sum()
@@ -167,7 +161,7 @@ def simulate_noisy_identification(scheme: Scheme, cfg: NoiseConfig) -> NoiseResu
         active = np.flatnonzero(leaf[node] < 0)
         while active.size:
             at = node[active]
-            wrong = rng.binomial(reps, cfg.epsilon, size=active.size) > reps // 2
+            wrong = rng.random(active.size) < p_wrong
             observed = scheme.bits[truth[active], attribute[at]] ^ wrong
             node[active] = child[at] + observed
             total_queries += reps * active.size

@@ -108,12 +108,14 @@ def tag_partition(
     """Deterministic partition of classes into at most 2**tag_bits groups.
 
     With enough bits to name every class the groups are singletons.  With
-    fewer, colliding classes stay in one group (splitting them would fake
-    a zero-distortion point below the converse bound), and a move-based
-    local search balances the per-group distinguishing dimension.  The
-    search keeps the block dimension of every member set of two or more
-    classes it evaluates in ``dim_cache`` (a fresh dict if none is given),
-    the final groups' too.
+    fewer, colliding classes form one unit (splitting them would fake a
+    zero-distortion point below the converse bound).  The units, sorted by
+    profile, fill min(2**tag_bits, units) groups in order: a group closes
+    once the classes placed so far reach its cumulative share of k, or
+    when one unit is left per later group.  A move-based local search then
+    balances the per-group distinguishing dimension.  It keeps the block
+    dimension of every member set of two or more classes it evaluates in
+    ``dim_cache`` (a fresh dict if none is given), the final groups' too.
 
     A trial move of one unit from ``src`` to ``dst`` is accepted iff every
     group then sits below the objective (the largest group dimension
@@ -128,7 +130,11 @@ def tag_partition(
     profiles, exact or greedy.  Each rule only skips evaluations whose
     result could not make the move win, so every decision, and the
     partition, is the one a full evaluation of all groups would give.
-    A rejected move still puts the unit back at the end of ``src``.
+    A rejected move still puts the unit back at the end of ``src``.  No
+    group is emptied: a one-unit group has dimension 0, so its unit leaves
+    only for a ``dst`` that is the sole group at the objective and falls
+    below it by growing.  An exact dimension (n <= 16) never falls by
+    growing; a greedy one could, and a seeded-corpus test guards that.
     """
     if tag_bits < 0:
         raise ValueError("tag bits must be >= 0")
@@ -139,15 +145,13 @@ def tag_partition(
     block_count = min(1 << tag_bits, len(units))
 
     groups: list[list[tuple[int, ...]]] = [[] for _ in range(block_count)]
-    filled = size = 0
-    for unit in units:
-        # Contiguous fill: a block closes at the cumulative share, not its
-        # even share (ROADMAP item 6), kept so plans stay byte-identical.
+    filled = placed = 0
+    for i, unit in enumerate(units, 1):
         groups[filled].append(unit)
-        size += len(unit)
-        if filled < block_count - 1 and size >= (filled + 1) * k // block_count:
+        placed += len(unit)
+        later = block_count - 1 - filled
+        if later and (placed >= (filled + 1) * k // block_count or len(units) - i == later):
             filled += 1
-            size = 0
 
     if dim_cache is None:
         dim_cache = {}

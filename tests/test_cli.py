@@ -245,8 +245,8 @@ def test_simulate_noise_deterministic(capsys, fixtures_dir, tmp_path):
     assert [r["epsilon"] for r in rows] == [0.05, 0.1]
     assert (tmp_path / "noise.csv").read_bytes() == (
         b"epsilon,delta,mean_queries,empirical_error,reference_bound\n"
-        b"0.05,0.01,10.0,0.005,5.6853952913433226\n"
-        b"0.1,0.01,14.0,0.01,7.195578415606392\n"
+        b"0.05,0.01,10.0,0.0,5.6853952913433226\n"
+        b"0.1,0.01,14.0,0.0,7.195578415606392\n"
     )
 
 

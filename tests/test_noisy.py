@@ -69,11 +69,13 @@ def where_flat_tree(tree):
 
 
 def where_walk(scheme, cfg):
-    """Reference: the blocked binomial walk, choosing each next node with
+    """Reference: the blocked walk, one uniform per visited node against
+    the exact majority-error tail, choosing each next node with
     ``np.where`` over the two looked-up children."""
     tree = adaptive_tree(scheme)
     depth = tree.depth
     reps = repetitions_for(cfg.epsilon, cfg.delta / depth) if depth else 1
+    p_wrong = majority_error(reps, cfg.epsilon)
     rng = np.random.Generator(np.random.Philox(cfg.seed))
     masses = np.asarray(scheme.masses)
     masses = masses / masses.sum()
@@ -86,7 +88,7 @@ def where_walk(scheme, cfg):
         active = np.flatnonzero(leaf[node] < 0)
         while active.size:
             at = node[active]
-            wrong = rng.binomial(reps, cfg.epsilon, size=active.size) > reps // 2
+            wrong = rng.random(active.size) < p_wrong
             observed = scheme.bits[truth[active], attribute[at]] ^ wrong
             node[active] = np.where(observed, one[at], zero[at])
             total_queries += reps * active.size
@@ -170,6 +172,17 @@ def test_repetitions_monotone_in_difficulty():
         assert majority_error(r, eps) <= 0.005
         if r > 1:
             assert majority_error(r - 2, eps) > 0.005
+
+
+def test_repetitions_match_a_linear_scan():
+    # The doubling probes and the bisection give the smallest passing odd r,
+    # the one a scan over r = 1, 3, 5, ... finds first (r <= 2,000 here).
+    for epsilon in (0.0, 0.01, 0.05, 0.1, 0.2, 0.3, 0.4, 0.45):
+        for target in (0.5, 0.1, 0.02, 1e-3, 1e-4, 1e-5):
+            r = 1
+            while majority_error(r, epsilon) > target:
+                r += 2
+            assert repetitions_for(epsilon, target) == r, (epsilon, target)
 
 
 def test_noiseless_is_exact(s2):

@@ -295,17 +295,36 @@ def test_tag_partition_s2(s2):
     assert tag_partition(s2, 0) == ((0, 1, 2, 3),)
 
 
-ITEM_6 = pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 6: the contiguous fill closes a block on the cumulative share, "
-    "so later tag values stay empty",
-)
-
-
-@pytest.mark.parametrize("L", [1, *(pytest.param(L, marks=ITEM_6) for L in (2, 3, 4))])
+@pytest.mark.parametrize("L", [1, 2, 3, 4])
 def test_tag_partition_uses_every_tag_value(L):
     scheme = table1_scheme(k=200)
     assert len(tag_partition(scheme, L)) == min(2**L, len(scheme.quotient))
+
+
+def test_tag_partition_fills_every_group_on_a_seeded_corpus():
+    # The fill opens every group, and the search empties none, at exact
+    # (n <= 16) and greedy (n = 50) block dimensions alike.
+    rng = random.Random(2026)
+    for n in (4, 6, 8, 12, 16, 50):
+        for build in (random_injective_scheme, random_colliding_scheme, random_scheme):
+            for _ in range(2):
+                scheme = build(rng, rng.randint(3, min(60, 2**n)), n)
+                units = len(scheme.quotient)
+                for L in range(tag_bits_for(scheme.k)):
+                    groups = tag_partition(scheme, L)
+                    assert len(groups) == min(2**L, units), (n, scheme.k, L)
+                    assert sorted(c for g in groups for c in g) == list(range(scheme.k))
+
+
+@pytest.mark.parametrize("L", [1, 2, 3, 4])
+def test_hybrid_width_meets_the_counting_bound_on_table1(L):
+    # Some group of any L-bit plan holds at least ceil(D / 2**L) of the D
+    # distinct profiles, and telling them apart takes at least ceil(log2)
+    # of that count in queries after the one tag read.
+    scheme = table1_scheme(k=200)
+    distinct = len(scheme.quotient)
+    bound = 1 + (math.ceil(distinct / 2**L) - 1).bit_length()
+    assert _hybrid_worst_queries(scheme, tag_partition(scheme, L)) == bound == 9 - L
 
 
 def test_negative_tag_width_rejected(s2):
@@ -326,11 +345,14 @@ def literal_tag_partition(scheme, tag_bits):
     block_count = min(1 << tag_bits, len(units))
     groups = [[] for _ in range(block_count)]
     filled = 0
-    for unit in units:
-        target = (filled + 1) * k // block_count if filled < block_count - 1 else k
+    for i, unit in enumerate(units):
         groups[filled].append(unit)
-        if sum(len(u) for u in groups[filled]) >= target and filled < block_count - 1:
-            filled += 1
+        if filled < block_count - 1:
+            placed = sum(len(u) for group in groups[: filled + 1] for u in group)
+            later_blocks = block_count - 1 - filled
+            units_left = len(units) - i - 1
+            if placed >= (filled + 1) * k // block_count or units_left == later_blocks:
+                filled += 1
     dims = {}
 
     def group_dim(group):
@@ -373,7 +395,6 @@ def test_pruned_tag_partition_matches_full_evaluation(n):
     # Every accepted move lowers the objective, so the search stops by
     # itself after at most the initial objective's worth of moves.
     rng = random.Random(n)
-    most_moves = 0
     for i in range(6):
         k = rng.randint(2, 60)
         if i % 2:
@@ -384,10 +405,14 @@ def test_pruned_tag_partition_matches_full_evaluation(n):
             groups, moves, initial_objective = literal_tag_partition(scheme, L)
             assert tag_partition(scheme, L) == groups, (i, L)
             assert moves <= initial_objective, (i, L)
-            most_moves = max(most_moves, moves)
-    if n == 8:
-        # One case (L = 2) runs the loop past its first accepted move.
-        assert most_moves >= 2
+
+
+def test_pruned_tag_partition_matches_full_evaluation_past_the_first_move():
+    # After the fill few cases need a second accepted move; this one does.
+    scheme = random_injective_scheme(random.Random(3), 24, 8)
+    groups, moves, initial_objective = literal_tag_partition(scheme, 1)
+    assert tag_partition(scheme, 1) == groups
+    assert 2 <= moves <= initial_objective
 
 
 def test_pruned_tag_partition_matches_full_evaluation_at_scale():

@@ -1,5 +1,6 @@
 import random
 import sys
+import time
 
 import pytest
 
@@ -8,6 +9,7 @@ from corpus import (
     random_injective_scheme,
     random_scheme,
     scheme_from_profiles,
+    table1_scheme,
 )
 from discern import matroid
 from discern.errors import BarrierError, EmptyInputError
@@ -181,11 +183,20 @@ def test_plan_computes_each_group_dimension_once(monkeypatch):
     expected = [hybrid_tag_plan(scheme, L) for L in (1, 2, 3)]
     calls = block_dimension_calls(monkeypatch)
     # The search evaluates only trial groups that can decide a move.
-    for L, plan, count in zip((1, 2, 3), expected, (22, 23, 4)):
+    for L, plan, count in zip((1, 2, 3), expected, (22, 4, 8)):
         calls.clear()
         assert hybrid_tag_plan(scheme, L) == plan
         assert len(calls) == len(set(calls)) == count
         assert set(map(frozenset, plan.groups)) <= set(calls)
+
+
+def test_table1_hybrid_points_within_the_criterion_1_budget():
+    # `tradeoff --tags 1 2 3` on Table-1 (k=1000/n=50) plans L = 1, 2, 3.
+    scheme = table1_scheme()
+    start = time.perf_counter()
+    points = achievable_points(scheme, (1, 2, 3))
+    assert time.perf_counter() - start < 5.0
+    assert [(p.L, p.W) for p in points[3:]] == [(1, 10), (2, 9), (3, 8)]
 
 
 def test_full_width_plan_makes_no_dimension_call(monkeypatch):
