@@ -26,6 +26,11 @@ class Profile:
     bits: tuple[int, ...]
 
     def __post_init__(self):
+        # Plain ints 0 and 1 pass in two C-speed set checks (a bool's type
+        # is not int, and 1.0 fails the type check); any other profile is
+        # walked bit by bit for its first fault.
+        if {*map(type, self.bits)} <= {int} and {*self.bits} <= {0, 1}:
+            return
         for i, b in enumerate(self.bits):
             if not isinstance(b, int) or isinstance(b, bool) or b not in (0, 1):
                 raise ValidationError(f"profile bit must be 0 or 1, got {b!r}", f"profile[{i}]")

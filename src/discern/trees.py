@@ -9,16 +9,21 @@ them on their smaller side, needs max(ceil(log2 D), ceil((D - 1) / b))
 queries, since on the larger side's path a query halves D at best and
 removes at most b.  The pruning passes over no attribute that could
 win, so every depth and tree is that of the unpruned search.  The greedy
-builder splits on the most balanced attribute and is used above the
-exact size limits.  Every builder starts from the bitmask of a class set,
-by default all k classes; a hybrid group's tree is the same search
-started from the group's mask, so its leaves hold the scheme's own class
-indices.
+builder splits on the most balanced attribute, the lowest on a tie, and
+is used above the exact size limits.  It splits a whole level of nodes in
+a few NumPy passes over the class-by-attribute bit matrix, and sums member
+rows only for the smaller child of each split: the larger child's column
+counts are its parent's minus its sibling's.  Every builder starts from
+the bitmask of a class set, by default all k classes; a hybrid group's
+tree is the same search started from the group's mask, so its leaves hold
+the scheme's own class indices.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+
+import numpy as np
 
 from .errors import LimitError
 from .scheme import Scheme
@@ -92,9 +97,9 @@ def _grow(start: int, columns, split) -> tuple[TreeNode, int]:
             built.append((TreeNode(None, _candidates(mask)), 0))
         else:
             (zero, zero_depth), (one, one_depth) = built.pop(), built.pop()
-            built.append(
-                (TreeNode(attr, _candidates(mask), zero, one), 1 + max(zero_depth, one_depth))
-            )
+            # Two sorted runs: the merge is linear, no walk over the mask.
+            candidates = tuple(sorted(zero.candidates + one.candidates))
+            built.append((TreeNode(attr, candidates, zero, one), 1 + max(zero_depth, one_depth)))
     return built[0]
 
 
@@ -185,23 +190,69 @@ def optimal_decision_tree(scheme: Scheme, classes=None) -> DecisionTree:
     return DecisionTree(root=root, depth=depth, exact=True)
 
 
+def _most_balanced_splits(scheme: Scheme, start: int) -> dict[int, int | None]:
+    """The greedy tree's split at every node under ``start``: the lowest
+    attribute of greatest min(ones, size - ones), None at a leaf.
+
+    Found one level at a time over ``scheme.bits``.  A level's nodes hold
+    their member rows, contiguous and grouped by node, and their column
+    one-counts; a node's split is the first argmax of its balances, and a
+    zero maximum makes a leaf.  A child's counts come from its parent by
+    sibling subtraction, as in histogram tree learners (Ke et al., 2017):
+    one ``add.reduceat`` sums the rows of every smaller child at the level,
+    and each larger child takes its parent's counts minus that sum.  Every
+    row is summed only on the smaller side of a split, O(n * sum of smaller
+    sides) in all.  A level lists the smaller children in their parents'
+    order, then the larger ones.
+    """
+    columns, bits = scheme.column_masks, scheme.bits
+    split: dict[int, int | None] = {start: None}  # with no attribute the root is a leaf
+    masks = [start] if scheme.n else []
+    rows = np.array(_candidates(start), dtype=np.intp)
+    # Counts never exceed k: 32 bits halve the widest level's arrays.
+    sizes = np.array([len(rows)], dtype=np.int32)
+    counts = bits[rows].sum(axis=0, keepdims=True, dtype=np.int32)
+    while masks:
+        at = np.arange(len(masks))
+        balance = sizes[:, None] - counts
+        np.minimum(balance, counts, out=balance)
+        attrs = balance.argmax(axis=1)
+        smaller = balance[at, attrs]
+        one_smaller = counts[at, attrs] == smaller
+        live = smaller > 0
+        small_masks, large_masks = [], []
+        for mask, attr, inner, flip in zip(masks, attrs.tolist(), live.tolist(), one_smaller.tolist()):
+            split[mask] = attr if inner else None
+            if inner:
+                one, zero = mask & columns[attr], mask & ~columns[attr]
+                small_masks.append(one if flip else zero)
+                large_masks.append(zero if flip else one)
+        if not small_masks:
+            break
+        node = np.repeat(at, sizes)
+        kept = live[node]
+        larger = bits[rows, attrs[node]] != one_smaller[node]
+        small = smaller[live]
+        # Rows are grouped by node, so the smaller sides' rows, picked in
+        # order, are grouped too: one segment per split, ``small`` rows each.
+        picked = rows[kept & ~larger]
+        sums = np.add.reduceat(bits[picked], np.cumsum(small) - small, axis=0, dtype=np.int32)
+        rows = np.concatenate((picked, rows[kept & larger]))
+        counts = np.concatenate((sums, counts[live] - sums))
+        sizes = np.concatenate((small, sizes[live] - small))
+        masks = small_masks + large_masks
+    return split
+
+
 @lru_cache(maxsize=256)
 def greedy_decision_tree(scheme: Scheme, classes=None) -> DecisionTree:
     """Most-balanced-split tree over ``classes`` (hashable, default all);
-    ties go to the lowest attribute index."""
-    columns = scheme.column_masks
-
-    def most_balanced(mask: int) -> int | None:
-        best_q, best_balance = None, 0
-        size = mask.bit_count()
-        for q, col in enumerate(columns):
-            ones = (mask & col).bit_count()
-            balance = min(ones, size - ones)
-            if balance > best_balance:
-                best_q, best_balance = q, balance
-        return best_q
-
-    root, depth = _grow(_class_mask(scheme, classes), columns, most_balanced)
+    ties go to the lowest attribute index.  The splits are found a level
+    at a time (``_most_balanced_splits``), whose arrays are freed before
+    the tree is assembled."""
+    start = _class_mask(scheme, classes)
+    split = _most_balanced_splits(scheme, start)
+    root, depth = _grow(start, scheme.column_masks, split.__getitem__)
     return DecisionTree(root=root, depth=depth, exact=False)
 
 

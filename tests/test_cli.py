@@ -476,3 +476,26 @@ def test_profile_faults_report_message_and_path(capsys, tmp_path, profiles, mess
     code, out = run_cli(capsys, ["analyze", str(path)])
     assert code == 2
     assert out == json.dumps({"error": {"type": error_type, "message": message}}, indent=2) + "\n"
+
+
+def test_profiles_past_the_fast_bit_check_keep_their_error_documents(capsys, tmp_path):
+    # A profile of plain ints 0 and 1 is accepted without a per-bit walk;
+    # a bool, a float equal to 1 or an int out of range still fails it.
+    path = tmp_path / "bad.json"
+    for bit, error_type, message in (
+        ("true", "ParseError", "profile entry must be an integer"),
+        ("1.0", "ParseError", "profile entry must be an integer"),
+        ("2", "ValidationError", "profile bit must be 0 or 1, got 2"),
+    ):
+        path.write_text(
+            '{"attributes": ["p", "q"], "classes": [{"name": "A", "profile": [1, 0]}, '
+            f'{{"name": "B", "profile": [0, {bit}]}}]}}'
+        )
+        code, out = run_cli(capsys, ["analyze", str(path)])
+        assert code == 2
+        assert out == (
+            '{\n  "error": {\n'
+            f'    "type": "{error_type}",\n'
+            f'    "message": "classes[1].profile[1]: {message}"\n'
+            "  }\n}\n"
+        )

@@ -709,6 +709,102 @@ def test_one_hot_at_the_class_limit_is_fast():
     assert tree.exact and tree.depth == 19
 
 
+def permuted_one_hot_scheme(rng, k):
+    order = rng.sample(range(k), k)
+    return scheme_from_profiles([tuple(int(q == order[c]) for q in range(k)) for c in range(k)])
+
+
+def test_greedy_tree_on_a_wide_deep_one_hot_is_fast():
+    # A chain of 1,199 splits over 1,200 attributes: counting every column
+    # at every node took about 2 s here.
+    scheme = permuted_one_hot_scheme(random.Random(12), 1200)
+    greedy_decision_tree.cache_clear()
+    start = time.perf_counter()
+    tree = greedy_decision_tree(scheme)
+    assert time.perf_counter() - start < 1.0
+    assert tree.depth == 1199
+
+
+def per_node_greedy_tree(scheme, classes=None):
+    """Reference: the greedy tree built one node at a time.  Each node counts
+    the ones of every column among its candidates and splits on the first
+    attribute of greatest min(ones, size - ones); a zero maximum makes a
+    leaf.  Returns the depth and the preorder (zero branch first) list of
+    each node's (attribute, candidates)."""
+    columns = scheme.column_masks
+
+    def most_balanced(mask):
+        best_q, best_balance = None, 0
+        size = mask.bit_count()
+        for q, col in enumerate(columns):
+            ones = (mask & col).bit_count()
+            balance = min(ones, size - ones)
+            if balance > best_balance:
+                best_q, best_balance = q, balance
+        return best_q
+
+    start = sum(1 << c for c in (range(scheme.k) if classes is None else classes))
+    nodes, depth, pending = [], 0, [(start, 0)]
+    while pending:
+        mask, level = pending.pop()
+        q = most_balanced(mask)
+        nodes.append((q, tuple(c for c in range(scheme.k) if mask >> c & 1)))
+        depth = max(depth, level)
+        if q is not None:
+            pending += ((mask & columns[q], level + 1), (mask & ~columns[q], level + 1))
+    return depth, nodes
+
+
+def preorder(root):
+    """Each node's (attribute, candidates), zero branch first."""
+    nodes, pending = [], [root]
+    while pending:
+        node = pending.pop()
+        nodes.append((node.attribute, node.candidates))
+        if not node.is_leaf:
+            pending += (node.one, node.zero)
+    return nodes
+
+
+@st.composite
+def greedy_tree_cases(draw):
+    """An injective, colliding, mixed or permuted one-hot scheme, up to three
+    of its columns held constant, and every class (None) or a subset of
+    them, the empty set and singletons included."""
+    kind = draw(st.sampled_from(("injective", "colliding", "mixed", "one-hot")))
+    if kind == "one-hot":
+        n = k = draw(st.integers(1, 40))
+        profile_ints = [1 << q for q in draw(st.permutations(range(n)))]
+    else:
+        n, k = draw(st.integers(1, 12)), draw(st.integers(1, 60))
+        top = (1 << n) - 1
+        if kind == "injective" and k <= 1 << n:
+            profile_ints = draw(st.lists(st.integers(0, top), min_size=k, max_size=k, unique=True))
+        else:
+            size = 2 if kind == "colliding" else k
+            pool = draw(st.lists(st.integers(0, top), min_size=1, max_size=size, unique=True))
+            profile_ints = draw(st.lists(st.sampled_from(pool), min_size=k, max_size=k))
+    for q, bit in draw(st.dictionaries(st.integers(0, n - 1), st.booleans(), max_size=3)).items():
+        profile_ints = [p | 1 << q if bit else p & ~(1 << q) for p in profile_ints]
+    scheme = scheme_from_profiles([tuple(p >> q & 1 for q in range(n)) for p in profile_ints])
+    subset = st.lists(st.integers(0, k - 1), unique=True).map(lambda c: tuple(sorted(c)))
+    return scheme, draw(st.none() | st.just(()) | st.integers(0, k - 1).map(lambda c: (c,)) | subset)
+
+
+@settings(max_examples=300, deadline=None)
+@given(greedy_tree_cases())
+@example((STAIRCASE, ()))
+@example((one_hot_scheme(12), (3,)))
+@example((scheme_from_profiles([(), ()]), None))  # no attribute to query
+@example((table1_scheme(), None))
+@example((permuted_one_hot_scheme(random.Random(20), 200), None))
+def test_greedy_tree_equals_the_per_node_builder(case):
+    scheme, classes = case
+    tree = greedy_decision_tree(scheme, classes)
+    assert not tree.exact
+    assert (tree.depth, preorder(tree.root)) == per_node_greedy_tree(scheme, classes)
+
+
 def test_bounded_search_prunes(monkeypatch):
     # The search bounds each non-leaf mask it solves once.  The pruned
     # search solves 67 masks on this scheme, 24 of them leaves; skipping an
