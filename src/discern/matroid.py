@@ -5,13 +5,20 @@ packed profile ``p`` (attribute q in bit q).  A query set S distinguishes
 the scheme when every pair of distinct classes differs on some attribute
 in S, i.e. when the projections ``p & S`` are pairwise distinct
 (``separates``).  The closure of X collects every attribute constant
-within each group of classes sharing ``p & X``.  Inclusion-minimal
-distinguishing sets come from one 2^n table of pair agreement sets, and
-basis exchange is checked per instance, never assumed, by lookups in that
-table and the table of minimal sets it yields.  It is one of three
-exhaustive subset scans: the exact ``_smallest_separating_mask`` scans
-masks by size (Gosper's hack), and ``checks.check_closure`` builds its own
-cl(X) table through ``closure``.
+within each group of classes sharing ``p & X``.
+
+One 2^n pair table serves the exact subset questions on every X at once
+(``_pair_table``).  Each pair of distinct profiles marks its agreement
+set with its disagreement, and the marks are ORed downward one attribute
+at a time (the subset-sum transform over the Boolean lattice), so entry X
+collects the disagreements of every pair that agrees on X.  As booleans
+it marks the sets that do not distinguish, from which come the
+inclusion-minimal distinguishing sets and the basis-exchange check, run
+per instance and never assumed.  As bits it is the set of attributes
+varying within some group of ``p & X``, whose complement is cl(X) for
+every X (``closure_table``, read by ``checks.check_closure``).  The other
+exhaustive scan is the exact ``_smallest_separating_mask``, which scans
+masks by size (Gosper's hack).
 
 Above the exact limit a smallest separating set is approximated by the
 ascending greedy drop: try removing attributes 0, 1, ..., n-1 in turn and
@@ -37,7 +44,7 @@ from .scheme import Scheme
 
 EXACT_SUBSET_LIMIT = 16
 
-# Largest n whose 2^n agreement-set table is allocated (two 1 GiB tables).
+# Largest n whose 2^n pair table is allocated (bases: two 1 GiB tables).
 SUBSET_TABLE_LIMIT = 30
 
 
@@ -164,6 +171,18 @@ def closure(scheme: Scheme, X) -> frozenset[int]:
     return _to_set(((1 << scheme.n) - 1) & ~varying)
 
 
+def closure_table(scheme: Scheme) -> np.ndarray:
+    """cl(X) as a mask for every mask X: ``closure`` on all 2^n query sets.
+
+    q is in cl(X) iff no two classes that agree on X differ at q, i.e. iff
+    q is outside the OR of the disagreements of every pair agreeing on X.
+    """
+    full = (1 << scheme.n) - 1
+    table = _pair_table(scheme.profile_ints, scheme.n, np.min_scalar_type(full))
+    table ^= full  # in place: the varying attributes all lie within full
+    return table
+
+
 def is_distinguishing(scheme: Scheme, S) -> bool:
     """True iff every pair of distinct classes differs on some attribute in S."""
     return separates(scheme.profile_ints, _to_mask(S, scheme.n))
@@ -176,40 +195,60 @@ def _require_injective(scheme: Scheme):
         )
 
 
+def _pair_table(profile_ints, n: int, dtype) -> np.ndarray:
+    """Entry X is the OR of the disagreements ``p ^ p'`` of every pair of
+    distinct profiles that agrees on X; as ``bool``, whether there is one.
+
+    Each disagreement d is written at its agreement set ``full ^ d`` (pairs
+    with one agreement set share d), then the n in-place passes OR each
+    entry into every subset of it.  Raises ``LimitError`` above
+    ``SUBSET_TABLE_LIMIT`` or when the 2^n entries cannot be allocated.
+    """
+    if n > SUBSET_TABLE_LIMIT:
+        raise LimitError(f"subset table limited to n <= {SUBSET_TABLE_LIMIT}, scheme has n={n}")
+    try:
+        table = np.zeros(1 << n, dtype=dtype)
+    except MemoryError:
+        raise LimitError(f"cannot allocate the 2^{n}-entry subset table") from None
+    full = (1 << n) - 1
+    profiles = np.array([*set(profile_ints)], dtype=np.int64)  # pair order does not matter
+    for i in range(len(profiles) - 1):
+        disagreements = profiles[i + 1:] ^ profiles[i]
+        table[full ^ disagreements] = disagreements
+    for q in range(n):
+        halves = table.reshape(-1, 2, 1 << q)
+        halves[:, 0, :] |= halves[:, 1, :]
+    return table
+
+
 def _base_masks(profile_ints, n: int) -> tuple[list[int], tuple[int, int, int] | None]:
     """Masks of every inclusion-minimal distinguishing set, by size and then
     sorted attributes, and the first exchange failure (B1, B2, q) in that
     order: q in B1 - B2, and no q2 in B2 - B1 makes B1 - q + q2 a base.
 
     ``blocked[X]`` marks X as contained in the agreement set of some class
-    pair, i.e. not distinguishing: the agreement sets are marked, then the
-    marks are closed downward one attribute at a time.  X is minimal iff it
-    is unmarked while every X minus one attribute is marked.
+    pair, i.e. not distinguishing (``_pair_table`` as booleans).  X is
+    minimal iff it is unmarked while every X minus one attribute is marked.
 
     For q in B1, N collects every q2 outside B1 with B1 - q + q2 minimal.
     Exchange fails for (B1, q) iff some base avoids q and N, i.e. iff the
     attributes outside N + {q} still distinguish: one ``blocked`` lookup.
     """
-    if n > SUBSET_TABLE_LIMIT:
-        raise LimitError(f"subset table limited to n <= {SUBSET_TABLE_LIMIT}, scheme has n={n}")
-    try:
-        blocked = np.zeros(1 << n, dtype=bool)
-    except MemoryError:
-        raise LimitError(f"cannot allocate the 2^{n}-entry subset table") from None
+    blocked = _pair_table(profile_ints, n, bool)
     full = (1 << n) - 1
-    profiles = np.array(profile_ints, dtype=np.int64)
-    for i in range(len(profiles) - 1):
-        blocked[full ^ (profiles[i + 1:] ^ profiles[i])] = True
-    for q in range(n):
-        halves = blocked.reshape(-1, 2, 1 << q)
-        halves[:, 0, :] |= halves[:, 1, :]
     minimal = ~blocked
     for q in range(n):
         minimal.reshape(-1, 2, 1 << q)[:, 1, :] &= blocked.reshape(-1, 2, 1 << q)[:, 0, :]
-    # Among equal sizes, ascending sorted attributes is descending bit-reversed value.
-    masks = sorted(
-        np.flatnonzero(minimal).tolist(), key=lambda m: (m.bit_count(), -int(f"{m:0{n}b}"[::-1], 2))
-    )
+    # Among equal sizes, ascending sorted attributes is descending bit-reversed
+    # value: bit q weighs 2^(n-1-q).
+    found = np.flatnonzero(minimal)
+    size = np.zeros_like(found)
+    reversed_value = np.zeros_like(found)
+    for q in range(n):
+        bit = found >> q & 1
+        size += bit
+        reversed_value |= bit << (n - 1 - q)
+    masks = found[np.lexsort((-reversed_value, size))].tolist()
     for b1 in masks:
         outside = [q2 for q2 in range(n) if not b1 >> q2 & 1]
         failing = {}  # q -> N

@@ -1,8 +1,10 @@
 import json
 import random
 import time
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from corpus import binary_linear_scheme, random_injective_scheme, scheme_from_profiles
@@ -62,6 +64,26 @@ def test_bases_table_too_wide_is_a_limit_error(capsys, tmp_path):
     code, out = run_cli(capsys, ["bases", str(path), "--max-n", "70"])
     assert code == 3
     assert json.loads(out)["error"]["type"] == "LimitError"
+
+
+def test_check_past_the_subset_table_skips_the_closure_scan(capsys, tmp_path):
+    # n=31 is within --closure-limit 40 but past the 2^n table: the four
+    # closure outcomes are skipped before anything of size 2^n is allocated.
+    n = matroid.SUBSET_TABLE_LIMIT + 1
+    path = tmp_path / "wide.json"
+    path.write_text(serialize_scheme(scheme_from_profiles([(0,) * n, (1,) * n])))
+    tracemalloc.start()
+    try:
+        code, out = run_cli(capsys, ["check", str(path), "--closure-limit", "40"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, peak
+    assert code == 0
+    reason = f"subset table limited to n <= {matroid.SUBSET_TABLE_LIMIT}, scheme has n={n}"
+    assert [(c["ok"], c["skipped"], c["detail"]) for c in json.loads(out)["checks"][:4]] == [
+        (True, True, reason)
+    ] * 4
 
 
 def test_tradeoff_csv(capsys, fixtures_dir, tmp_path):
@@ -312,10 +334,10 @@ def test_binary_linear_bases_at_n16_finish(capsys, tmp_path, command):
 
 
 def test_check_mutation_detected(capsys, fixtures_dir, monkeypatch):
-    def corrupted_closure(scheme, X):
-        return frozenset()
+    def corrupted_closure_table(scheme):
+        return np.zeros(1 << scheme.n, dtype=np.uint8)  # cl(X) empty for every X
 
-    monkeypatch.setattr(matroid, "closure", corrupted_closure)
+    monkeypatch.setattr(matroid, "closure_table", corrupted_closure_table)
     code, out = run_cli(capsys, ["check", str(fixtures_dir / "s2.json")])
     assert code == 4
     doc = json.loads(out)

@@ -2,12 +2,14 @@ import itertools
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from corpus import (
     binary_linear_scheme,
     partition_scheme,
+    random_colliding_scheme,
     random_injective_scheme,
     random_scheme,
     scheme_from_profiles,
@@ -20,6 +22,7 @@ from discern.matroid import (
     _to_set,
     block_dimension,
     closure,
+    closure_table,
     distinguishing_dimension,
     enumerate_minimal_distinguishing,
     is_distinguishing,
@@ -250,30 +253,22 @@ def test_check_closure_skips_above_the_limit():
     assert [o.detail for o in outcomes] == [axiom, axiom, axiom, exchange]
 
 
-def test_check_scheme_calls_closure_once_per_subset(monkeypatch):
+def test_check_scheme_builds_the_closure_table_once(monkeypatch):
     calls = []
-    real = checks.matroid.closure
+    real = checks.matroid.closure_table
     monkeypatch.setattr(
-        checks.matroid, "closure", lambda scheme, X: calls.append(X) or real(scheme, X)
+        checks.matroid, "closure_table", lambda scheme: calls.append(scheme) or real(scheme)
     )
+    monkeypatch.setattr(checks.matroid, "closure", None)  # no per-subset closure calls
     outcomes = checks.check_scheme(EXCHANGE_FAILURE)
-    assert len(calls) == 1 << EXCHANGE_FAILURE.n
-    subsets = itertools.chain.from_iterable(
-        itertools.combinations(range(EXCHANGE_FAILURE.n), size)
-        for size in range(EXCHANGE_FAILURE.n + 1)
-    )
-    assert set(calls) == {frozenset(subset) for subset in subsets}
+    assert calls == [EXCHANGE_FAILURE]
     assert outcomes[:4] == checks.check_closure(EXCHANGE_FAILURE)
     assert not outcomes[3].ok
 
 
 def patch_closure_table(monkeypatch, table):
-    """Make ``matroid.closure`` read cl(X) from ``table``, indexed by the mask of X."""
-
-    def tabled(scheme, X):
-        return _to_set(table[_to_mask(X, scheme.n)])
-
-    monkeypatch.setattr(checks.matroid, "closure", tabled)
+    """Make ``matroid.closure_table`` return ``table``: cl(X) indexed by the mask of X."""
+    monkeypatch.setattr(checks.matroid, "closure_table", lambda scheme: np.array(table, dtype=np.uint8))
 
 
 def submask_monotone(table, n: int) -> bool:
@@ -318,6 +313,97 @@ def test_monotone_verdict_matches_submask_scan(monkeypatch):
         assert monotone.ok == expected, (n, table, monotone.detail)
         verdicts[expected] += 1
     assert verdicts[True] > 0 and verdicts[False] > 0
+
+
+def closure_schemes(seed: int, count: int):
+    """Seeded schemes with k <= 40 and n <= 10: injective, colliding, and
+    random over few profiles (mostly colliding), each third in turn."""
+    rng = random.Random(seed)
+    for i in range(count):
+        n = rng.randint(0, 10)
+        k = rng.randint(1, min(40, 1 << n))
+        if i % 3 == 0:
+            yield random_injective_scheme(rng, k, n)
+        elif i % 3 == 1 and k >= 2:
+            yield random_colliding_scheme(rng, k, n)
+        else:
+            pool = [tuple(rng.randint(0, 1) for _ in range(n)) for _ in range(rng.randint(1, 6))]
+            yield scheme_from_profiles([rng.choice(pool) for _ in range(k)])
+
+
+def test_closure_table_matches_closure():
+    explicit = [scheme_from_profiles([()]), scheme_from_profiles([(0, 1, 1)]), EXCHANGE_FAILURE]
+    for scheme in [*explicit, *closure_schemes(18, 120)]:
+        n = scheme.n
+        table = closure_table(scheme)
+        assert table.shape == (1 << n,)
+        assert [int(c) for c in table] == [
+            _to_mask(closure(scheme, _to_set(x)), n) for x in range(1 << n)
+        ]
+
+
+def literal_check_closure(cl: list[int], n: int) -> list[checks.CheckOutcome]:
+    """Reference: every (X, q', q) in order over the cl(X) masks ``cl``."""
+    names = ("closure-extensive", "closure-monotone", "closure-idempotent", "closure-exchange")
+    extensive, monotone, idempotent, exchange = names
+    found: dict[str, str] = {}  # name -> detail of its first failure
+
+    def attrs(mask: int) -> list[int]:
+        return sorted(_to_set(mask))
+
+    for x in range(1 << n):
+        cx = cl[x]
+        if x & ~cx and extensive not in found:
+            found[extensive] = f"X={attrs(x)} not within cl(X)"
+        if cl[cx] != cx and idempotent not in found:
+            found[idempotent] = f"cl(cl(X)) != cl(X) for X={attrs(x)}"
+        for q2 in range(n):
+            y = x | 1 << q2
+            if y == x:
+                continue
+            if cx & ~cl[y] and monotone not in found:
+                found[monotone] = f"X={attrs(x)} subset of Y={attrs(y)} but cl(X) exceeds cl(Y)"
+            gained = cl[y] & ~cx & ~(1 << q2)
+            for q in range(n):
+                if gained >> q & 1 and not cl[x | 1 << q] >> q2 & 1 and exchange not in found:
+                    found[exchange] = (
+                        f"q={q} in cl(X + {{{q2}}}) \\ cl(X) but q'={q2} not in "
+                        f"cl(X + {{{q}}}) for X={attrs(x)}"
+                    )
+    return [checks.CheckOutcome(name, ok=name not in found, detail=found.get(name)) for name in names]
+
+
+def test_check_closure_matches_the_per_subset_loop():
+    exchange_failures = 0
+    for scheme in closure_schemes(2026, 300):
+        n = scheme.n
+        cl = [_to_mask(closure(scheme, _to_set(x)), n) for x in range(1 << n)]
+        expected = literal_check_closure(cl, n)
+        assert checks.check_closure(scheme) == expected
+        exchange_failures += not expected[3].ok
+    assert exchange_failures >= 30
+
+
+def test_check_closure_matches_the_loop_on_injected_operators(monkeypatch):
+    # Closure tables with flipped bits and arbitrary maps fail every
+    # property, several times over, so each first failure is compared.
+    rng = random.Random(77)
+    failures = [0, 0, 0, 0]
+    for _ in range(300):
+        n = rng.randint(0, 6)
+        scheme = random_scheme(rng, rng.randint(1, 8), n)
+        table = [_to_mask(closure(scheme, _to_set(x)), n) for x in range(1 << n)]
+        if rng.random() < 0.5:
+            for _ in range(rng.randint(1, 3) if n else 0):
+                table[rng.randrange(1 << n)] ^= 1 << rng.randrange(n)
+        else:
+            table = [rng.randrange(1 << n) for _ in table]
+        expected = literal_check_closure(table, n)
+        with monkeypatch.context() as patch:
+            patch_closure_table(patch, table)
+            assert checks.check_closure(scheme) == expected, table
+        failures = [f + (not o.ok) for f, o in zip(failures, expected)]
+    assert min(failures) >= 30, failures
 
 
 def test_unequal_bases_are_reported_not_suppressed():
@@ -546,6 +632,15 @@ def test_kernel_matches_literal_definitions(scheme, x_bits):
     expected = literal_greedy_mask(profiles, n)
     assert (greedy.dimension, greedy.exact) == (expected.bit_count(), n == 0)
     assert greedy.witness == attribute_set(expected, n)
+
+
+def test_bases_come_by_size_then_sorted_attributes():
+    rng = random.Random(31)
+    for _ in range(60):
+        n = rng.randint(0, 10)
+        scheme = random_injective_scheme(rng, rng.randint(1, min(40, 1 << n)), n)
+        bases = enumerate_minimal_distinguishing(scheme).bases
+        assert list(bases) == sorted(bases, key=lambda b: (len(b), sorted(b)))
 
 
 def test_bases_table_memory_stays_bounded():
