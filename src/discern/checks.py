@@ -69,12 +69,16 @@ def _closure_failures(cl, n: int) -> tuple[str | None, ...]:
 
     def first(bad) -> int | None:
         """The least X, in flat order, where ``bad`` is nonzero."""
+        if not bad.size:  # cut away: a failure at X = 0 is already known
+            return None
         found = int((bad != 0).argmax())
         return found if bad.flat[found] else None
 
-    def split(table, q: int):
-        """``table`` split at bit q, and cl(X + {q}) for each X in that shape."""
-        return table.reshape(-1, 2, 1 << q), cl.reshape(-1, 2, 1 << q)[:, 1:, :]
+    def split(table, q: int, below: int):
+        """``table`` split at bit q, and cl(X + {q}) for each X in that shape,
+        cut to the first rows that hold every X < ``below``."""
+        rows = -(-below >> q + 1)
+        return table.reshape(-1, 2, 1 << q)[:rows], cl.reshape(-1, 2, 1 << q)[:rows, 1:, :]
 
     def attrs(mask: int) -> list[int]:
         return sorted(matroid._to_set(mask))
@@ -84,20 +88,23 @@ def _closure_failures(cl, n: int) -> tuple[str | None, ...]:
         extensive = f"X={attrs(found)} not within cl(X)"
     if (found := first(cl[cl] != cl)) is not None:
         idempotent = f"cl(cl(X)) != cl(X) for X={attrs(found)}"
-    least_monotone = least_exchange = 1 << n  # X of the failure kept so far
+    # X of the failure kept so far: only a smaller X can replace it, so
+    # each later pass reads only the rows of its split view below it.
+    least_monotone = least_exchange = 1 << n
     for q2 in range(n):
-        here, up = split(cl, q2)  # up equals cl where q' is in X, so no failure there
+        here, up = split(cl, q2, least_monotone)  # up equals cl where q' is in X, so no failure there
         found = first(here & ~up)
         if found is not None and found < least_monotone:
             least_monotone = found
             monotone = f"X={attrs(found)} subset of Y={attrs(found | 1 << q2)} but cl(X) exceeds cl(Y)"
+        here, up = split(cl, q2, 1 << n)
         gained = up & ~here
         # q = q' cannot fail: gaining q' puts it in cl(X + {q'}), where it would be missing.
         ever_gained = int(np.bitwise_or.reduce(gained, axis=None))
         for q in range(n):
             if not ever_gained >> q & 1:
                 continue
-            gained_q, up_q = split(gained, q)
+            gained_q, up_q = split(gained, q, least_exchange)
             found = first(gained_q >> q & ~up_q >> q2 & 1)
             if found is not None and found < least_exchange:
                 least_exchange = found
@@ -156,7 +163,7 @@ def check_barrier_factoring(scheme: Scheme) -> CheckOutcome:
                         ok=False,
                         detail=(
                             f"{kind} transcripts differ for colliding classes "
-                            f"{scheme.classes[group[0]].name} and {scheme.classes[c].name}"
+                            f"{scheme.class_names[group[0]]} and {scheme.class_names[c]}"
                         ),
                     )
     return CheckOutcome("barrier-factoring", ok=True)

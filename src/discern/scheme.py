@@ -2,15 +2,21 @@
 
 A scheme is k named classes over n binary attributes, plus an optional
 probability mass per class.  Every analysis in this package consumes a
-validated, immutable ``Scheme``.  Each rule lives in one place:
-``parse_scheme`` checks the JSON shape, ``Profile`` checks the bits, and
-``Scheme`` checks lengths, names, masses and class indices.
+validated, immutable ``Scheme``: its attribute and class names, one k x n
+``bytes`` of 0/1 answers and its masses.  Each rule lives in one place:
+``parse_scheme`` checks the JSON shape and proves a well-formed document's
+bits by whole-document passes (any other document is checked entry by
+entry), ``Profile`` checks a record's bits, and ``Scheme`` checks lengths,
+names, masses and class indices.  ``ClassRecord``/``Profile`` records are
+a derived view, built on first use of ``Scheme.classes``.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
+from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 
@@ -47,84 +53,90 @@ class ClassRecord:
     profile: Profile
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Scheme:
     """k classes over n binary attributes with per-class probability mass.
 
+    ``Scheme(attributes, classes, masses=None)`` takes ``ClassRecord``s;
     ``masses=None`` means uniform 1/k; given masses need one entry per
     class.  Immutable after construction; all package operations are pure
     functions of a scheme, so instances are safe to share across threads.
     """
 
     attributes: tuple[str, ...]
-    classes: tuple[ClassRecord, ...]
-    masses: tuple[float, ...] | None = None
+    class_names: tuple[str, ...]
+    answers: bytes
+    masses: tuple[float, ...]
 
-    def __post_init__(self):
-        if len(self.classes) < 1:
+    def __init__(self, attributes, classes, masses=None):
+        classes = tuple(classes)
+        names = tuple(c.name for c in classes)
+        answers = b"".join(bytes(c.profile.bits) for c in classes)
+        self._validate(attributes, names, answers, masses, [len(c.profile) for c in classes])
+        self.__dict__["classes"] = classes
+
+    def _validate(self, attributes, names, answers, masses, profile_lengths=()):
+        """Check the scheme rules in their fixed order, then store the fields."""
+        if len(names) < 1:
             raise ValidationError("scheme needs at least one class", "classes")
-        if len(set(self.attributes)) != len(self.attributes):
+        if len(set(attributes)) != len(attributes):
             raise ValidationError("attribute names must be unique", "attributes")
-        names = [c.name for c in self.classes]
         if len(set(names)) != len(names):
             dup = next(name for i, name in enumerate(names) if name in names[:i])
             raise ValidationError(f"duplicate class name {dup!r}", "classes")
-        n = len(self.attributes)
-        for i, record in enumerate(self.classes):
-            if len(record.profile) != n:
-                raise ValidationError(
-                    f"profile has length {len(record.profile)}, expected {n}",
-                    f"classes[{i}].profile",
-                )
-        if self.masses is None:
-            object.__setattr__(self, "masses", tuple(1.0 / len(self.classes) for _ in self.classes))
-        if len(self.masses) != len(self.classes):
-            raise ValidationError(
-                f"got {len(self.masses)} masses for {len(self.classes)} classes", "masses"
-            )
-        for i, m in enumerate(self.masses):
+        n = len(attributes)
+        for i, length in enumerate(profile_lengths):
+            if length != n:
+                raise ValidationError(f"profile has length {length}, expected {n}", f"classes[{i}].profile")
+        if masses is None:
+            masses = tuple(1.0 / len(names) for _ in names)
+        if len(masses) != len(names):
+            raise ValidationError(f"got {len(masses)} masses for {len(names)} classes", "masses")
+        for i, m in enumerate(masses):
             if not m >= 0:  # NaN fails too
                 raise ValidationError(f"mass must be nonnegative, got {m}", f"masses[{i}]")
-        total = sum(self.masses)
+        total = sum(masses)
         if not abs(total - 1.0) <= MASS_SUM_TOLERANCE:
             raise ValidationError(f"masses sum to {total}, expected 1", "masses")
+        self.__dict__.update(attributes=attributes, class_names=names, answers=answers, masses=masses)
 
     def __hash__(self) -> int:
-        # The generated hash walks every class record on each call, and
-        # every memoised tree lookup hashes its scheme; hash it once.
+        # Every memoised tree lookup hashes its scheme; hash it once.
         cached = self.__dict__.get("_hash")
         if cached is None:
-            cached = hash((self.attributes, self.classes, self.masses))
+            cached = hash((self.attributes, self.class_names, self.answers, self.masses))
             object.__setattr__(self, "_hash", cached)
         return cached
 
     def __getstate__(self) -> dict:
         # String hashes differ between processes: a stored hash must not
-        # outlive the process that computed it.  An unpickled array is
-        # writable, so ``bits`` is rebuilt read-only on first use instead.
-        state = dict(self.__dict__)
-        state.pop("_hash", None)
-        state.pop("bits", None)
-        return state
+        # outlive the process that computed it.  Only the fields travel;
+        # ``bits`` and the records are rebuilt on first use.
+        return {f.name: self.__dict__[f.name] for f in fields(self)}
 
     @property
     def k(self) -> int:
-        return len(self.classes)
+        return len(self.class_names)
 
     @property
     def n(self) -> int:
         return len(self.attributes)
 
+    def row(self, class_index: int) -> bytes:
+        """One class's answers, one 0/1 byte per attribute (no range check)."""
+        return self.answers[class_index * self.n:(class_index + 1) * self.n]
+
     @cached_property
-    def class_names(self) -> tuple[str, ...]:
-        return tuple(c.name for c in self.classes)
+    def classes(self) -> tuple[ClassRecord, ...]:
+        """Per-class records, built from the names and answers on first use."""
+        return tuple(
+            ClassRecord(name, Profile(tuple(self.row(c)))) for c, name in enumerate(self.class_names)
+        )
 
     @cached_property
     def bits(self) -> np.ndarray:
-        """Read-only k x n boolean matrix of the profiles."""
-        matrix = np.array([c.profile.bits for c in self.classes], dtype=bool)
-        matrix.flags.writeable = False
-        return matrix
+        """Read-only k x n boolean view of ``answers``."""
+        return np.frombuffer(self.answers, dtype=bool).reshape(self.k, self.n)
 
     @cached_property
     def profile_ints(self) -> tuple[int, ...]:
@@ -153,10 +165,10 @@ class Scheme:
         return class_index
 
     def index_of(self, class_name: str) -> int:
-        for i, record in enumerate(self.classes):
-            if record.name == class_name:
-                return i
-        raise KeyError(class_name)
+        try:
+            return self.class_names.index(class_name)
+        except ValueError:
+            raise KeyError(class_name) from None
 
 
 def _pack_rows(matrix: np.ndarray) -> tuple[int, ...]:
@@ -166,11 +178,57 @@ def _pack_rows(matrix: np.ndarray) -> tuple[int, ...]:
 
 
 def profile_of(scheme: Scheme, class_index: int) -> Profile:
-    """Return the stored profile of one class; no recomputation.
+    """Return the profile record of one class.
 
     Raises IndexError as ``Scheme.check_class`` does.
     """
     return scheme.classes[scheme.check_class(class_index)].profile
+
+
+def _answers(entries: list, n: int) -> tuple[tuple[str, ...], bytes] | None:
+    """Class names and 0/1 answers of well-formed class entries, proven by
+    a few whole-document passes; None when any entry needs the per-entry
+    checks, which then find and report its first fault."""
+    if not {*map(type, entries)} <= {dict}:
+        return None
+    try:
+        names = tuple(map(itemgetter("name"), entries))
+        rows = list(map(itemgetter("profile"), entries))
+    except KeyError:
+        return None
+    if not (
+        {*map(type, names)} <= {str}
+        and {*map(type, rows)} <= {list}
+        and {*map(len, rows)} <= {n}
+        and {*map(type, chain.from_iterable(rows))} <= {int}
+    ):
+        return None
+    try:
+        answers = b"".join(map(bytes, rows))
+    except ValueError:  # a bit outside 0..255
+        return None
+    # Deleting every 0 and 1 byte leaves nothing only if every bit is 0 or 1.
+    return None if answers.translate(None, b"\0\1") else (names, answers)
+
+
+def _records(entries: list) -> tuple[ClassRecord, ...]:
+    """The class entries checked one at a time, raising the first fault."""
+    records = []
+    for i, entry in enumerate(entries):
+        expect(isinstance(entry, dict), "class entry must be an object", f"classes[{i}]")
+        expect("name" in entry, "missing key", f"classes[{i}].name")
+        expect("profile" in entry, "missing key", f"classes[{i}].profile")
+        expect(isinstance(entry["name"], str), "class name must be a string", f"classes[{i}].name")
+        raw_profile = entry["profile"]
+        expect(isinstance(raw_profile, list), "profile must be an array", f"classes[{i}].profile")
+        try:
+            records.append(ClassRecord(entry["name"], Profile(tuple(raw_profile))))
+        except ValidationError as exc:
+            # ``Profile`` checks the bits; only a refused profile is searched
+            # for the non-integer entry that outranks its error.
+            expect_each(raw_profile, int, "profile entry must be an integer", f"classes[{i}].profile")
+            raise ValidationError(exc.message, f"classes[{i}].{exc.path}") from exc
+    return tuple(records)
 
 
 def parse_scheme(text: str, renormalize: bool = False) -> Scheme:
@@ -195,21 +253,8 @@ def parse_scheme(text: str, renormalize: bool = False) -> Scheme:
 
     raw_classes = doc["classes"]
     expect(isinstance(raw_classes, list), "must be an array", "classes")
-    records = []
-    for i, entry in enumerate(raw_classes):
-        expect(isinstance(entry, dict), "class entry must be an object", f"classes[{i}]")
-        expect("name" in entry, "missing key", f"classes[{i}].name")
-        expect("profile" in entry, "missing key", f"classes[{i}].profile")
-        expect(isinstance(entry["name"], str), "class name must be a string", f"classes[{i}].name")
-        raw_profile = entry["profile"]
-        expect(isinstance(raw_profile, list), "profile must be an array", f"classes[{i}].profile")
-        try:
-            records.append(ClassRecord(entry["name"], Profile(tuple(raw_profile))))
-        except ValidationError as exc:
-            # ``Profile`` checks the bits; only a refused profile is searched
-            # for the non-integer entry that outranks its error.
-            expect_each(raw_profile, int, "profile entry must be an integer", f"classes[{i}].profile")
-            raise ValidationError(exc.message, f"classes[{i}].{exc.path}") from exc
+    proven = _answers(raw_classes, len(raw_attributes))
+    records = _records(raw_classes) if proven is None else None
 
     masses = None
     if "masses" in doc:
@@ -223,7 +268,11 @@ def parse_scheme(text: str, renormalize: bool = False) -> Scheme:
                 raise ValidationError(f"cannot renormalize masses summing to {total}", "masses")
             masses = tuple(m / total for m in masses)
 
-    return Scheme(tuple(raw_attributes), tuple(records), masses)
+    if proven is None:
+        return Scheme(tuple(raw_attributes), records, masses)
+    scheme = object.__new__(Scheme)  # the answers are proven 0/1 and k x n
+    scheme._validate(tuple(raw_attributes), *proven, masses)
+    return scheme
 
 
 def serialize_scheme(scheme: Scheme) -> str:
@@ -234,7 +283,7 @@ def serialize_scheme(scheme: Scheme) -> str:
     doc = {
         "attributes": list(scheme.attributes),
         "classes": [
-            {"name": c.name, "profile": list(c.profile.bits)} for c in scheme.classes
+            {"name": name, "profile": list(scheme.row(c))} for c, name in enumerate(scheme.class_names)
         ],
         "masses": list(scheme.masses),
     }

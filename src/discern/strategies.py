@@ -77,8 +77,10 @@ class Transcript:
 
 
 def _profile_units(scheme: Scheme) -> list[tuple[int, ...]]:
-    """Profile-quotient blocks ordered by profile bits (distinct per block)."""
-    return sorted(scheme.quotient, key=lambda b: scheme.classes[b[0]].profile.bits)
+    """Profile-quotient blocks ordered by profile bits (distinct per block).
+
+    A row's bytes sort as its tuple of 0/1 answers would."""
+    return sorted(scheme.quotient, key=lambda b: scheme.row(b[0]))
 
 
 def _group_dimension(scheme: Scheme, units, dim_cache: dict) -> int:
@@ -246,7 +248,7 @@ def hybrid_tag_plan(scheme: Scheme, L: int) -> TagPlan:
 
 def _walk_transcript(scheme: Scheme, tree, c: int, prefix: tuple = ()) -> Transcript:
     """Transcript of class ``c`` walking ``tree`` after the ``prefix`` queries."""
-    queried, leaf = walk(tree, scheme.classes[c].profile.bits)
+    queried, leaf = walk(tree, scheme.row(c))
     queries = (*prefix, *queried)
     return Transcript(queries, leaf.candidates[0], len(leaf.candidates) > 1)
 
