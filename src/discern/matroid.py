@@ -236,19 +236,22 @@ def _base_masks(profile_ints, n: int) -> tuple[list[int], tuple[int, int, int] |
     """
     blocked = _pair_table(profile_ints, n, bool)
     full = (1 << n) - 1
-    minimal = ~blocked
-    for q in range(n):
-        minimal.reshape(-1, 2, 1 << q)[:, 1, :] &= blocked.reshape(-1, 2, 1 << q)[:, 0, :]
-    # Among equal sizes, ascending sorted attributes is descending bit-reversed
-    # value: bit q weighs 2^(n-1-q).
-    found = np.flatnonzero(minimal)
-    size = np.zeros_like(found)
-    reversed_value = np.zeros_like(found)
-    for q in range(n):
-        bit = found >> q & 1
-        size += bit
-        reversed_value |= bit << (n - 1 - q)
-    masks = found[np.lexsort((-reversed_value, size))].tolist()
+    try:
+        minimal = ~blocked
+        for q in range(n):
+            minimal.reshape(-1, 2, 1 << q)[:, 1, :] &= blocked.reshape(-1, 2, 1 << q)[:, 0, :]
+        # Among equal sizes, ascending sorted attributes is descending
+        # bit-reversed value: bit q weighs 2^(n-1-q).
+        found = np.flatnonzero(minimal)
+        size = np.zeros_like(found)
+        reversed_value = np.zeros_like(found)
+        for q in range(n):
+            bit = found >> q & 1
+            size += bit
+            reversed_value |= bit << (n - 1 - q)
+        masks = found[np.lexsort((-reversed_value, size))].tolist()
+    except MemoryError:
+        raise LimitError(f"cannot allocate the 2^{n}-entry subset table") from None
     for b1 in masks:
         outside = [q2 for q2 in range(n) if not b1 >> q2 & 1]
         failing = {}  # q -> N

@@ -18,7 +18,7 @@ import numpy as np
 from .barrier import collisions
 from .errors import BarrierError, ConfigError
 from .scheme import Scheme
-from .trees import DecisionTree, adaptive_tree
+from .trees import adaptive_tree
 
 RNG_NAME = "numpy-philox"
 MAX_REPETITIONS = 10_000_001
@@ -111,34 +111,14 @@ def reference_bound(cfg: NoiseConfig) -> float:
     return math.log(1.0 / cfg.delta) / (1.0 - 2.0 * cfg.epsilon) ** 2
 
 
-def _flat_tree(tree: DecisionTree) -> tuple[np.ndarray, ...]:
-    """Parallel arrays over the nodes, root first: the queried attribute,
-    the child for answer 0 (the child for answer 1 is the next node), and
-    the leaf's class; -1 where a field does not apply."""
-    nodes = [tree.root]
-    for node in nodes:  # grows while it is read: breadth-first numbering
-        if not node.is_leaf:
-            nodes += (node.zero, node.one)
-    attribute, child, leaf = (np.full(len(nodes), -1, dtype=np.intp) for _ in range(3))
-    next_child = 1
-    for i, node in enumerate(nodes):
-        if node.is_leaf:
-            leaf[i] = node.candidates[0]
-        else:
-            attribute[i] = node.attribute
-            child[i] = next_child
-            next_child += 2
-    return attribute, child, leaf
-
-
 def simulate_noisy_identification(scheme: Scheme, cfg: NoiseConfig) -> NoiseResult:
     """Repeat-and-majority identification over the adaptive tree.
 
     Deterministic for a fixed (scheme, cfg): the seed drives a Philox
     counter-based generator, and the draws come in a fixed order.  Trials
-    run in consecutive blocks of at most ``BLOCK_TRIALS``.  Each block
-    draws the true class of all its trials with one ``choice``; then, one
-    tree level at a time, one uniform per trial still at an internal node,
+    run in blocks of at most ``BLOCK_TRIALS``.  Each block draws the true
+    class of all its trials with one ``choice``; then, one level of the
+    tree's node arrays at a time, one uniform per trial at an internal node,
     which moves to the child of the true bit, inverted when the uniform is
     below ``majority_error(reps, epsilon)``, the exact chance of a wrong majority.
     """
@@ -151,7 +131,11 @@ def simulate_noisy_identification(scheme: Scheme, cfg: NoiseConfig) -> NoiseResu
     rng = np.random.Generator(np.random.Philox(cfg.seed))
     masses = np.asarray(scheme.masses)
     masses = masses / masses.sum()
-    attribute, child, leaf = _flat_tree(tree)
+    # The node tuples as arrays: ``leaf`` is -1 at an internal node.
+    attribute, child, leaf = np.array([
+        (q, first, -1) if node is None else (0, 0, node.candidates[0])
+        for q, first, node in zip(tree.attribute, tree.first_child, tree.leaves)
+    ], dtype=np.intp).T
 
     total_queries = 0
     errors = 0

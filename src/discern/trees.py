@@ -17,11 +17,15 @@ counts are its parent's minus its sibling's.  Every builder starts from
 the bitmask of a class set, by default all k classes; a hybrid group's
 tree is the same search started from the group's mask, so its leaves hold
 the scheme's own class indices.
+
+A tree is its nodes in breadth-first order, as plain tuples that both
+builders lay out (``_layout``) and both walks read; only leaves hold
+candidates.  The nested ``TreeNode`` view is built on first use.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -48,9 +52,29 @@ class TreeNode:
 
 @dataclass(frozen=True)
 class DecisionTree:
-    root: TreeNode
+    """Nodes in breadth-first order, the root first: ``attribute`` queried,
+    None at a leaf; ``first_child``, the answer-0 child's index (answer 1's
+    is the next), None at a leaf; ``leaves``, the leaf ``TreeNode`` with its
+    candidates, None at an internal node.  ``root`` is the nested view."""
+
+    attribute: tuple[int | None, ...]
+    first_child: tuple[int | None, ...]
+    leaves: tuple[TreeNode | None, ...]
     depth: int
     exact: bool
+
+    @cached_property
+    def root(self) -> TreeNode:
+        """Nested ``TreeNode`` view, built from the last node back, so each
+        child before its parent; an internal node's candidates merge its
+        children's two sorted runs, a linear ``sorted``."""
+        nodes = list(self.leaves)
+        for i in reversed(range(len(nodes))):
+            if self.attribute[i] is not None:
+                zero, one = nodes[self.first_child[i]], nodes[self.first_child[i] + 1]
+                candidates = tuple(sorted(zero.candidates + one.candidates))
+                nodes[i] = TreeNode(self.attribute[i], candidates, zero, one)
+        return nodes[0]
 
 
 def _class_mask(scheme: Scheme, classes) -> int:
@@ -76,31 +100,22 @@ def _candidates(mask: int) -> tuple[int, ...]:
     return tuple(found)
 
 
-def _grow(start: int, columns, split) -> tuple[TreeNode, int]:
-    """Root and depth of the tree that queries ``split(mask)`` at each
-    candidate mask, None making a leaf; ``split`` runs once per node.
-
-    Iterative, so a tree may be deeper than Python's recursion limit: the
-    masks are laid out in preorder, zero branch first, then the nodes are
-    assembled from the last mask back.
-    """
-    order, pending = [], [start]
-    while pending:
-        mask = pending.pop()
+def _layout(start: int, columns, split) -> tuple[tuple, tuple, tuple, int]:
+    """``DecisionTree`` fields but ``exact`` of the tree querying ``split(mask)``
+    at each candidate mask, None making a leaf; the last node is deepest.
+    Iterative, so a tree may be deeper than Python's recursion limit."""
+    attribute, first_child, leaves, pending = [], [], [], [(start, 0)]
+    for mask, level in pending:  # grows while it is read: breadth-first order
         attr = split(mask)
-        order.append((mask, attr))
-        if attr is not None:
-            pending += (mask & columns[attr], mask & ~columns[attr])
-    built: list[tuple[TreeNode, int]] = []
-    for mask, attr in reversed(order):
+        attribute.append(attr)
         if attr is None:
-            built.append((TreeNode(None, _candidates(mask)), 0))
+            first_child.append(None)
+            leaves.append(TreeNode(None, _candidates(mask)))
         else:
-            (zero, zero_depth), (one, one_depth) = built.pop(), built.pop()
-            # Two sorted runs: the merge is linear, no walk over the mask.
-            candidates = tuple(sorted(zero.candidates + one.candidates))
-            built.append((TreeNode(attr, candidates, zero, one), 1 + max(zero_depth, one_depth)))
-    return built[0]
+            first_child.append(len(pending))
+            leaves.append(None)
+            pending += ((mask & ~columns[attr], level + 1), (mask & columns[attr], level + 1))
+    return tuple(attribute), tuple(first_child), tuple(leaves), pending[-1][1]
 
 
 def _depth_bound(count: int, widest: int) -> int:
@@ -186,8 +201,7 @@ def optimal_decision_tree(scheme: Scheme, classes=None) -> DecisionTree:
         memo[mask] = (best_depth, best_attr)
         return memo[mask]
 
-    root, depth = _grow(start, columns, lambda mask: solve(mask & reps)[1])
-    return DecisionTree(root=root, depth=depth, exact=True)
+    return DecisionTree(*_layout(start, columns, lambda mask: solve(mask & reps)[1]), exact=True)
 
 
 def _most_balanced_splits(scheme: Scheme, start: int) -> dict[int, int | None]:
@@ -247,13 +261,11 @@ def _most_balanced_splits(scheme: Scheme, start: int) -> dict[int, int | None]:
 @lru_cache(maxsize=256)
 def greedy_decision_tree(scheme: Scheme, classes=None) -> DecisionTree:
     """Most-balanced-split tree over ``classes`` (hashable, default all);
-    ties go to the lowest attribute index.  The splits are found a level
-    at a time (``_most_balanced_splits``), whose arrays are freed before
-    the tree is assembled."""
+    ties go to the lowest attribute index.  ``_most_balanced_splits`` frees
+    its level arrays before the tree is laid out."""
     start = _class_mask(scheme, classes)
     split = _most_balanced_splits(scheme, start)
-    root, depth = _grow(start, scheme.column_masks, split.__getitem__)
-    return DecisionTree(root=root, depth=depth, exact=False)
+    return DecisionTree(*_layout(start, scheme.column_masks, split.__getitem__), exact=False)
 
 
 def adaptive_tree(scheme: Scheme, classes=None) -> DecisionTree:
@@ -265,9 +277,9 @@ def adaptive_tree(scheme: Scheme, classes=None) -> DecisionTree:
 
 def walk(tree: DecisionTree, profile_bits) -> tuple[list[int], TreeNode]:
     """Follow the answers of one profile; return queried attributes and leaf."""
-    node = tree.root
-    queried: list[int] = []
-    while not node.is_leaf:
-        queried.append(node.attribute)
-        node = node.one if profile_bits[node.attribute] else node.zero
-    return queried, node
+    attribute, first_child = tree.attribute, tree.first_child
+    node, queried = 0, []
+    while (attr := attribute[node]) is not None:
+        queried.append(attr)
+        node = first_child[node] + profile_bits[attr]
+    return queried, tree.leaves[node]

@@ -7,9 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from corpus import binary_linear_scheme, random_injective_scheme, scheme_from_profiles
+from corpus import binary_linear_scheme, random_injective_scheme, scheme_from_profiles, table1_scheme
 from golden_cases import GOLDEN_CASES, fill
-from discern import cli, matroid, strategies
+from discern import cli, matroid, strategies, trees
 from discern.scheme import serialize_scheme
 
 
@@ -226,6 +226,37 @@ def test_one_hot_tree_deeper_than_the_recursion_limit(capsys, tmp_path):
     assert code == 0
     adaptive = [p for p in json.loads(out)["points"] if p["strategy"] == "adaptive"]
     assert adaptive == [{"L": 0, "W": k - 1, "D": 0.0, "strategy": "adaptive"}]
+
+
+def test_commands_walk_trees_without_building_the_nested_view(capsys, monkeypatch, tmp_path):
+    # Every command reads a tree's node tuples; the ``TreeNode`` view under
+    # ``DecisionTree.root`` is built only when a caller asks for it.
+    built = []
+
+    class RecordedTree(trees.DecisionTree):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(trees, "DecisionTree", RecordedTree)
+    path = tmp_path / "table1.json"
+    path.write_text(serialize_scheme(table1_scheme()))
+    commands = (
+        ["analyze"],
+        ["tradeoff"],
+        ["simulate", "--strategy", "adaptive"],
+        ["simulate-noise", "--eps", "0.1", "--delta", "0.01", "--trials", "1000", "--seed", "3"],
+    )
+    try:
+        trees.greedy_decision_tree.cache_clear()
+        trees.optimal_decision_tree.cache_clear()
+        for command, *options in commands:
+            assert run_cli(capsys, [command, str(path), *options])[0] == 0
+    finally:
+        trees.greedy_decision_tree.cache_clear()
+        trees.optimal_decision_tree.cache_clear()
+    assert built
+    assert all("root" not in tree.__dict__ for tree in built)
 
 
 def test_simulate_hybrid_with_tags(capsys, fixtures_dir):

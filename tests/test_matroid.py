@@ -15,7 +15,7 @@ from corpus import (
     random_scheme,
     scheme_from_profiles,
 )
-from discern import checks
+from discern import checks, matroid
 from discern.errors import BarrierError, LimitError
 from discern.matroid import (
     SUBSET_TABLE_LIMIT,
@@ -678,3 +678,16 @@ def test_bases_table_refuses_unallocatable_n():
     scheme = scheme_from_profiles([(0,) * n, (1,) * n])
     with pytest.raises(LimitError):
         enumerate_minimal_distinguishing(scheme, max_n=n)
+
+
+def test_bases_past_the_pair_table_allocation_is_a_limit_error(monkeypatch):
+    # The 2^n pair table fits but the minimal-set table beside it does not:
+    # the enumeration stops with LimitError, not an escaped MemoryError.
+    class NoRoomBeside(np.ndarray):
+        def __invert__(self):
+            raise MemoryError
+
+    pair_table = matroid._pair_table
+    monkeypatch.setattr(matroid, "_pair_table", lambda *args: pair_table(*args).view(NoRoomBeside))
+    with pytest.raises(LimitError, match="cannot allocate the 2\\^4-entry"):
+        enumerate_minimal_distinguishing(random_injective_scheme(random.Random(3), 8, 4))

@@ -13,7 +13,6 @@ from discern.noisy import (
     NoiseConfig,
     NoiseResult,
     RNG_NAME,
-    _flat_tree,
     majority_error,
     reference_bound,
     repetitions_for,
@@ -288,15 +287,17 @@ def test_child_index_walk_matches_where_reference_across_blocks():
 
 
 def test_flat_tree_children_reach_the_walked_leaf():
+    # The noise walk's numbering: node 0 is the root, and an internal node's
+    # answer-1 child is the index after its answer-0 child ``first_child``.
     for scheme in [*walk_reference_schemes(), table1_scheme()]:
         tree = adaptive_tree(scheme)
-        attribute, child, leaf = _flat_tree(tree)
         for c in range(scheme.k):
             bits = scheme.classes[c].profile.bits
             node = 0
-            while leaf[node] < 0:
-                node = child[node] + bits[attribute[node]]
-            assert leaf[node] == walk(tree, bits)[1].candidates[0] == c
+            while tree.leaves[node] is None:
+                node = tree.first_child[node] + bits[tree.attribute[node]]
+            assert tree.attribute[node] is None and tree.first_child[node] is None
+            assert tree.leaves[node].candidates[0] == walk(tree, bits)[1].candidates[0] == c
 
 
 def test_noiseless_walk_follows_the_drawn_classes():

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -666,6 +667,26 @@ def one_hot_scheme(k):
     return scheme_from_profiles([tuple(int(q == c) for q in range(k)) for c in range(k)])
 
 
+def reference_walk(root, bits):
+    """Reference: the queries and leaf candidates of one profile's path
+    through a nested ``TreeNode`` tree."""
+    node, queried = root, []
+    while not node.is_leaf:
+        queried.append(node.attribute)
+        node = node.one if bits[node.attribute] else node.zero
+    return queried, node.candidates
+
+
+def assert_layout_matches(scheme, classes, tree, reference_root):
+    """``walk`` over the node tuples follows the reference tree for every
+    member class, and the tuples hold 2 x leaves - 1 nodes."""
+    for c in range(scheme.k) if classes is None else classes:
+        queried, leaf = walk(tree, scheme.row(c))
+        assert (queried, leaf.candidates) == reference_walk(reference_root, scheme.row(c))
+    leaves = sum(leaf is not None for leaf in tree.leaves)
+    assert len(tree.attribute) == len(tree.first_child) == len(tree.leaves) == 2 * leaves - 1
+
+
 @st.composite
 def exact_tree_cases(draw):
     """An injective, colliding or mixed scheme (k <= 16, n <= 10) and either
@@ -689,6 +710,8 @@ def exact_tree_cases(draw):
 @given(exact_tree_cases())
 @example((STAIRCASE, None))
 @example((one_hot_scheme(9), (0, 2, 3, 5, 8)))
+@example((STAIRCASE, ()))
+@example((scheme_from_profiles([(), ()]), None))  # no attribute to query
 def test_bounded_search_equals_the_unbounded_search(case):
     scheme, classes = case
     depth, root = unbounded_tree(scheme, classes)
@@ -696,6 +719,7 @@ def test_bounded_search_equals_the_unbounded_search(case):
     assert tree.depth == depth
     assert tree.exact
     assert tree.root == root
+    assert_layout_matches(scheme, classes, tree, root)
 
 
 def test_one_hot_at_the_class_limit_is_fast():
@@ -723,6 +747,22 @@ def test_greedy_tree_on_a_wide_deep_one_hot_is_fast():
     tree = greedy_decision_tree(scheme)
     assert time.perf_counter() - start < 1.0
     assert tree.depth == 1199
+
+
+def test_greedy_tree_retains_memory_linear_in_its_nodes():
+    # Only leaves hold candidates.  When every internal node held its own,
+    # this 1199-level chain retained about 6.4 MB, k x depth / 2 entries.
+    scheme = one_hot_scheme(1200)
+    scheme.bits, scheme.column_masks  # the scheme's own caches are not the tree's
+    greedy_decision_tree.cache_clear()
+    tracemalloc.start()
+    try:
+        tree = greedy_decision_tree(scheme)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert tree.depth == 1199
+    assert retained < 1_000_000
 
 
 def per_node_greedy_tree(scheme, classes=None):
@@ -753,6 +793,19 @@ def per_node_greedy_tree(scheme, classes=None):
         if q is not None:
             pending += ((mask & columns[q], level + 1), (mask & ~columns[q], level + 1))
     return depth, nodes
+
+
+def from_preorder(nodes):
+    """The nested tree of a preorder (zero branch first) list of each
+    node's (attribute, candidates)."""
+    built = []
+    for q, candidates in reversed(nodes):
+        if q is None:
+            built.append(TreeNode(None, candidates))
+        else:
+            zero, one = built.pop(), built.pop()
+            built.append(TreeNode(q, candidates, zero, one))
+    return built[0]
 
 
 def preorder(root):
@@ -798,11 +851,14 @@ def greedy_tree_cases(draw):
 @example((scheme_from_profiles([(), ()]), None))  # no attribute to query
 @example((table1_scheme(), None))
 @example((permuted_one_hot_scheme(random.Random(20), 200), None))
+@example((one_hot_scheme(1100), None))  # deeper than the recursion limit
 def test_greedy_tree_equals_the_per_node_builder(case):
     scheme, classes = case
     tree = greedy_decision_tree(scheme, classes)
     assert not tree.exact
-    assert (tree.depth, preorder(tree.root)) == per_node_greedy_tree(scheme, classes)
+    depth, nodes = per_node_greedy_tree(scheme, classes)
+    assert (tree.depth, preorder(tree.root)) == (depth, nodes)
+    assert_layout_matches(scheme, classes, tree, from_preorder(nodes))
 
 
 def test_bounded_search_prunes(monkeypatch):
