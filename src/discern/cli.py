@@ -3,6 +3,11 @@
 JSON on stdout is the machine interface; ``--pretty`` renders tables for
 humans.  Exit codes: 0 success, 1 usage, 2 parse/validation error,
 3 size limit exceeded, 4 property violation found by ``check``.
+
+Every command is one entry of ``COMMANDS``.  A run whose first argument
+names a command builds that command's parser alone, since one process
+runs one command; help, version and usage errors print the same bytes as
+from the parser of every command, which any other argv gets.
 """
 from __future__ import annotations
 
@@ -150,7 +155,7 @@ def _resolve_doc(scenario, obj, lazy, with_trace: bool, strict: bool) -> dict:
         "probes": len(trace),
     }
     if obj is not None:
-        doc["getattribute"] = resolver.getattribute(scenario, obj, lazy)
+        doc["getattribute"] = resolver.getattribute(scenario, obj, lazy, resolved=doc["value"])
     if with_trace:
         doc["trace"] = [
             {"scope": scope, "mro_type": mro_type, "normalized": norm}
@@ -219,40 +224,26 @@ def _render_pretty(doc, indent: str = "") -> str:
     return "\n".join(line for line in lines if line)
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="discern",
-        description="Analyze classification schemes: barriers, distinguishing sets, tradeoffs.",
-    )
-    parser.add_argument("--version", action="version", version=f"discern {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, help_text: str, scheme_arg: bool = True) -> argparse.ArgumentParser:
-        cmd = sub.add_parser(name, help=help_text)
-        if scheme_arg:
-            cmd.add_argument("scheme", help="path to a scheme JSON document")
-        cmd.add_argument("-o", "--output", help="write the document here instead of stdout")
-        cmd.add_argument("--pretty", action="store_true", help="human-readable rendering")
-        return cmd
-
-    add("analyze", "barrier, capacity, quotient, and information loss")
-
-    cmd = add("dimension", "distinguishing dimension")
+def _dimension_options(cmd):
     cmd.add_argument("--exact-limit", type=int, default=matroid.EXACT_SUBSET_LIMIT)
 
-    cmd = add("bases", "minimal distinguishing sets and axiom checks")
+
+def _bases_options(cmd):
     cmd.add_argument("--max-n", type=int, default=matroid.EXACT_SUBSET_LIMIT)
 
-    cmd = add("tradeoff", "achievable points, Pareto frontier, converse verdicts")
+
+def _tradeoff_options(cmd):
     cmd.add_argument("--tags", type=int, nargs="+", help="hybrid tag bit-widths to evaluate")
     cmd.add_argument("--csv", help="also write points as CSV to this path")
 
-    cmd = add("simulate", "identification transcripts for one strategy")
+
+def _simulate_options(cmd):
     cmd.add_argument("--strategy", required=True, choices=KINDS)
     cmd.add_argument("--tags", type=int, help="tag bits: the hybrid width; nominal needs ceil(log2 k)")
     cmd.add_argument("--class", dest="class_name", help="limit to one class by name")
 
-    cmd = add("simulate-noise", "Monte-Carlo identification over a noisy channel")
+
+def _simulate_noise_options(cmd):
     cmd.add_argument("--eps", type=float, nargs="+", required=True)
     cmd.add_argument("--delta", type=float, required=True)
     cmd.add_argument("--trials", type=int, required=True)
@@ -260,15 +251,18 @@ def _build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("--tagged", action="store_true", help="simulate the clean tag side channel")
     cmd.add_argument("--csv", help="also write results as CSV to this path")
 
-    cmd = add("resolve", "run the dual-axis resolver on a scenario", scheme_arg=False)
+
+def _resolve_options(cmd):
     cmd.add_argument("scenario", help="path to a scenario JSON document")
     cmd.add_argument("--trace", action="store_true", help="include the probe log")
     cmd.add_argument("--strict", action="store_true", help="reject non-well-formed registries")
 
-    cmd = add("check", "run the property suite against a scheme")
+
+def _check_options(cmd):
     cmd.add_argument("--closure-limit", type=int, default=checks.CLOSURE_CHECK_LIMIT)
 
-    cmd = add("report", "full analysis report with scheme digest")
+
+def _report_options(cmd):
     cmd.add_argument("--seed", type=int, help="enables the noise section")
     cmd.add_argument("--tags", type=int, nargs="+")
     cmd.add_argument("--eps", type=float, default=0.1)
@@ -276,6 +270,50 @@ def _build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("--trials", type=int, default=1000)
     cmd.add_argument("--max-n", type=int, default=matroid.EXACT_SUBSET_LIMIT)
     cmd.add_argument("--scenario", help="enables the resolver section")
+
+
+# Every command, in help order: its help text, whether it reads a scheme
+# document, and the function that adds its own options.
+COMMANDS = {
+    "analyze": ("barrier, capacity, quotient, and information loss", True, lambda cmd: None),
+    "dimension": ("distinguishing dimension", True, _dimension_options),
+    "bases": ("minimal distinguishing sets and axiom checks", True, _bases_options),
+    "tradeoff": ("achievable points, Pareto frontier, converse verdicts", True, _tradeoff_options),
+    "simulate": ("identification transcripts for one strategy", True, _simulate_options),
+    "simulate-noise": ("Monte-Carlo identification over a noisy channel", True, _simulate_noise_options),
+    "resolve": ("run the dual-axis resolver on a scenario", False, _resolve_options),
+    "check": ("run the property suite against a scheme", True, _check_options),
+    "report": ("full analysis report with scheme digest", True, _report_options),
+}
+
+
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or of ``command`` alone.
+
+    The one-command parser spells the command list out as the metavar, so
+    its usage line matches the full parser's.  The full parser keeps the
+    default metavar, which names the positional "command" in its errors.
+    """
+    parser = argparse.ArgumentParser(
+        prog="discern",
+        description="Analyze classification schemes: barriers, distinguishing sets, tradeoffs.",
+    )
+    parser.add_argument("--version", action="version", version=f"discern {__version__}")
+    if command is None:
+        sub = parser.add_subparsers(dest="command", required=True)
+        names = list(COMMANDS)
+    else:
+        metavar = "{" + ",".join(COMMANDS) + "}"
+        sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+        names = [command]
+    for name in names:
+        help_text, scheme_arg, add_options = COMMANDS[name]
+        cmd = sub.add_parser(name, help=help_text)
+        if scheme_arg:
+            cmd.add_argument("scheme", help="path to a scheme JSON document")
+        cmd.add_argument("-o", "--output", help="write the document here instead of stdout")
+        cmd.add_argument("--pretty", action="store_true", help="human-readable rendering")
+        add_options(cmd)
     return parser
 
 
@@ -320,10 +358,14 @@ def _dispatch(args) -> tuple[dict, int, str | None]:
 
 
 def run(argv) -> int:
-    """Execute one CLI invocation; returns the exit code."""
-    parser = _build_parser()
+    """Execute one CLI invocation; returns the exit code.
+
+    A run that names a command first builds that command's parser alone;
+    any other argv (help, version, none, an unknown command) gets them all.
+    """
+    command = argv[0] if argv and argv[0] in COMMANDS else None
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser(command).parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else USAGE_EXIT
 

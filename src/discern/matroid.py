@@ -16,9 +16,15 @@ it marks the sets that do not distinguish, from which come the
 inclusion-minimal distinguishing sets and the basis-exchange check, run
 per instance and never assumed.  As bits it is the set of attributes
 varying within some group of ``p & X``, whose complement is cl(X) for
-every X (``closure_table``, read by ``checks.check_closure``).  The other
-exhaustive scan is the exact ``_smallest_separating_mask``, which scans
-masks by size (Gosper's hack).
+every X (``closure_table``, read by ``checks.check_closure``).
+
+The exact smallest separating set has two engines, and
+``_smallest_separating_mask`` runs whichever is predicted to be cheaper.
+The scan tests masks by size in increasing numeric order (Gosper's hack);
+its cost grows with the number of masks of the first possible size times
+the number of profiles.  The table reader takes the numerically first
+unblocked entry of least popcount in the boolean pair table; its cost is
+about n * 2^n cells whatever the profiles.  Both return the same mask.
 
 Above the exact limit a smallest separating set is approximated by the
 ascending greedy drop: try removing attributes 0, 1, ..., n-1 in turn and
@@ -35,6 +41,7 @@ and the attributes dropped below q no longer count.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 
@@ -46,6 +53,17 @@ EXACT_SUBSET_LIMIT = 16
 
 # Largest n whose 2^n pair table is allocated (bases: two 1 GiB tables).
 SUBSET_TABLE_LIMIT = 30
+
+# The exact engines' cost model, in pair-table cells.  A cell of the
+# table's passes takes about 1.2 ns at n = 16, and each NumPy call (one per
+# profile's row of pair writes, two per attribute for the passes) adds
+# about 3 us whatever its size, about 2,048 cells.  The scan is priced by
+# its worst case, which it often stops well short of, so one of its
+# profile tests counts as 32 cells: near where the two engines measured
+# even at n = 10-16, though a test run in full costs 70-90 cells.
+# (CPython 3.11, NumPy 2.4, one shared x86-64 core.)
+TABLE_CELLS_PER_TEST = 32
+TABLE_CELLS_PER_CALL = 2048
 
 
 @dataclass(frozen=True)
@@ -96,11 +114,19 @@ def separates(profiles, mask: int) -> bool:
 def _smallest_separating_mask(profiles, n: int, exact_limit: int) -> tuple[int, bool]:
     """A smallest mask separating the distinct ``profiles``, and whether it is exact.
 
-    Up to ``exact_limit`` attributes, sizes rise from the ceil(log2 g) bound
-    and each size is scanned in increasing numeric order (Gosper's hack),
-    so the mask is the numerically first of minimum size.  Above it, one
-    ascending drop pass gives an inclusion-minimal mask: the candidate only
-    shrinks, so a kept attribute never becomes droppable later.
+    Up to ``exact_limit`` attributes the mask is the numerically first of
+    minimum size, from one of two engines.  The scan raises the size from
+    the ceil(log2 g) bound for g profiles and tests each size's masks in
+    increasing numeric order (Gosper's hack); its worst case at the first
+    size is C(n, ceil(log2 g)) * g profile tests.  The table reader
+    (``_table_mask``) costs n * 2^n + g^2 / 2 table cells plus g + 2n
+    NumPy calls, and ``TABLE_CELLS_PER_TEST`` converts one cost into the
+    other; it runs when predicted cheaper and n <= ``EXACT_SUBSET_LIMIT``,
+    so a raised exact limit above that scans as before.
+
+    Above ``exact_limit``, one ascending drop pass gives an
+    inclusion-minimal mask: the candidate only shrinks, so a kept
+    attribute never becomes droppable later.
 
     The drop walks the trie nodes of the sorted profiles by ascending
     split level q.  Sorted profiles that agree above q form one run, split
@@ -117,8 +143,13 @@ def _smallest_separating_mask(profiles, n: int, exact_limit: int) -> tuple[int, 
     node drops its attribute.
     """
     if n <= exact_limit:
+        g = len(profiles)
+        first_size = max(g - 1, 0).bit_length()
+        table_cells = (n << n) + g * g // 2 + (g + 2 * n) * TABLE_CELLS_PER_CALL
+        if n <= EXACT_SUBSET_LIMIT and comb(n, first_size) * g * TABLE_CELLS_PER_TEST > table_cells:
+            return _table_mask(profiles, n), True
         # Returns by size n at the latest: all attributes separate distinct profiles.
-        for size in range(max(len(profiles) - 1, 0).bit_length(), n + 1):
+        for size in range(first_size, n + 1):
             mask = (1 << size) - 1
             while mask >> n == 0:
                 if separates(profiles, mask):
@@ -149,6 +180,21 @@ def _smallest_separating_mask(profiles, n: int, exact_limit: int) -> tuple[int, 
                 mask |= 1 << q
                 break
     return mask, False
+
+
+def _table_mask(profiles, n: int) -> int:
+    """The numerically first mask of least popcount that ``_pair_table``
+    leaves unblocked: the scan's answer, read from the table.
+
+    The popcount of every mask is summed in n in-place passes, one per
+    bit; blocked masks are raised past n, and ``argmin`` takes the first
+    of the least.  Distinct profiles leave the full mask unblocked.
+    """
+    size = np.zeros(1 << n, dtype=np.uint8)
+    for q in range(n):
+        size.reshape(-1, 2, 1 << q)[:, 1, :] += 1
+    size[_pair_table(profiles, n, bool)] = n + 1
+    return int(np.argmin(size))
 
 
 def x_equivalent(scheme: Scheme, X, c1: int, c2: int) -> bool:

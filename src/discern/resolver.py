@@ -100,14 +100,18 @@ def resolved_value(scenario: ResolveScenario) -> int:
     return result.value if result is not None else 0
 
 
-def getattribute(scenario: ResolveScenario, obj: ConfigInstance, is_lazy: bool) -> int:
-    """Raw field value when set; lazy access falls back to resolution."""
+def getattribute(
+    scenario: ResolveScenario, obj: ConfigInstance, is_lazy: bool, resolved: int | None = None
+) -> int:
+    """Raw field value when set; lazy access falls back to resolution.
+
+    A caller that has already resolved ``scenario`` passes the scalar as
+    ``resolved``, so the scenario is not resolved (and warned about) twice.
+    """
     raw = obj.value
-    if raw != 0:
+    if raw != 0 or not is_lazy:
         return raw
-    if is_lazy:
-        return resolved_value(scenario)
-    return raw
+    return resolved_value(scenario) if resolved is None else resolved
 
 
 def resolution_query_count(scenario: ResolveScenario) -> int:

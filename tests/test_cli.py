@@ -1,7 +1,13 @@
+import argparse
+import gc
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -477,9 +483,69 @@ def test_help_and_usage_exit_codes(capsys):
     assert cli.run([]) == 1
 
 
+def _argv_corpus():
+    s1 = "{fixtures}/s1.json"
+    corpus = [[], ["--help"], ["--version"], ["nope"], ["-o", "x", "analyze"]]
+    for command, (_, scheme_arg, _) in cli.COMMANDS.items():
+        document = s1 if scheme_arg else "{fixtures}/scenario1.json"
+        corpus += [[command, "--help"], [command], [command, document, "--bogus"]]
+    return corpus + [
+        ["dimension", s1, "--exact-limit", "x"],
+        ["simulate", s1, "--strategy", "bogus"],
+        ["analyze", s1],
+    ]
+
+
+@pytest.mark.parametrize("argv", _argv_corpus(), ids=" ".join)
+def test_one_command_parser_matches_the_full_parser(capsys, monkeypatch, fixtures_dir, argv):
+    argv = fill(argv, fixtures_dir)
+    code = cli.run(argv)
+    one = (code, *capsys.readouterr())
+    full_parser = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda command=None: full_parser())
+    code = cli.run(argv)
+    assert one == (code, *capsys.readouterr())
+
+
+@pytest.mark.parametrize("argv, built", [(["analyze", "{fixtures}/s1.json"], 1), (["--help"], 9)])
+def test_run_builds_only_the_subparser_it_dispatches_to(capsys, monkeypatch, fixtures_dir, argv, built):
+    calls = []
+    add_parser = argparse._SubParsersAction.add_parser
+    monkeypatch.setattr(
+        argparse._SubParsersAction,
+        "add_parser",
+        lambda self, name, **kwargs: calls.append(name) or add_parser(self, name, **kwargs),
+    )
+    parsers = []
+    build = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda command=None: parsers.append(build(command)) or parsers[-1])
+    cli.run(fill(argv, fixtures_dir))
+    capsys.readouterr()
+    assert len(calls) == built
+    # The parser is built per call and kept nowhere once the run returns.
+    survivor = weakref.ref(parsers.pop())
+    gc.collect()
+    assert survivor() is None
+
+
+def test_lazy_resolve_of_an_ill_formed_registry_warns_once(capsys, tmp_path):
+    scenario = tmp_path / "ill.json"
+    scenario.write_text(
+        '{"registry": {"2": 1, "1": 3}, "mro": [2], "scopes": ["s0"],'
+        ' "ctx": {"s0": [{"typ": 1, "value": 5}]}, "obj": {"typ": 2, "value": 0}, "lazy": true}'
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-m", "discern.cli", "resolve", str(scenario)], env=env, capture_output=True, text=True
+    )
+    code, out = run_cli(capsys, ["resolve", str(scenario)])
+    assert done.returncode == code == 0 and done.stdout == out
+    assert json.loads(out)["getattribute"] == 5
+    assert done.stderr.count("registry is not well-formed") == 1
+
+
 def test_byte_identical_reruns(capsys, fixtures_dir):
-    for _ in range(2):
-        pass
     first = run_cli(capsys, ["tradeoff", str(fixtures_dir / "s3.json")])
     second = run_cli(capsys, ["tradeoff", str(fixtures_dir / "s3.json")])
     assert first == second

@@ -558,6 +558,60 @@ def test_greedy_drop_matches_literal_drop(case):
     assert block_dimension(colliding, range(colliding.k), exact_limit=0) == expected.bit_count()
 
 
+def literal_scan_mask(profiles, n: int) -> tuple[int, bool]:
+    """Oracle: the exact Gosper scan on its own, sizes up from ceil(log2 g)
+    and each size's masks in increasing numeric order."""
+    for size in range(max(len(profiles) - 1, 0).bit_length(), n + 1):
+        mask = (1 << size) - 1
+        while mask >> n == 0:
+            if len({p & mask for p in profiles}) == len(profiles):
+                return mask, True
+            low = mask & -mask
+            ripple = mask + low
+            mask = ripple | ((ripple ^ mask) >> 2) // low
+    raise AssertionError("distinct profiles are separated by every attribute")
+
+
+def count_table_reads(monkeypatch) -> list:
+    reads = []
+    table_mask = matroid._table_mask
+    monkeypatch.setattr(matroid, "_table_mask", lambda *a: reads.append(a) or table_mask(*a))
+    return reads
+
+
+@pytest.mark.parametrize("g, engine", [(1, "scan"), (2, "scan"), (9, "scan"), (24, "table"), (53, "table")])
+def test_exact_mask_matches_the_scan_whichever_engine_runs(monkeypatch, g, engine):
+    reads = count_table_reads(monkeypatch)
+    rng = random.Random(g)
+    for _ in range(3):
+        profiles = rng.sample(range(1 << 16), g)
+        assert matroid._smallest_separating_mask(profiles, 16, 16) == literal_scan_mask(profiles, 16)
+    assert len(reads) == (3 if engine == "table" else 0)
+
+
+def test_exact_mask_at_n0_and_above_the_table_limit(monkeypatch):
+    reads = count_table_reads(monkeypatch)
+    for profiles in ([], [0]):
+        assert matroid._smallest_separating_mask(profiles, 0, 16) == literal_scan_mask(profiles, 0) == (0, True)
+    # A raised exact limit runs the scan past EXACT_SUBSET_LIMIT.
+    profiles = random.Random(17).sample(range(1 << 17), 24)
+    assert matroid._smallest_separating_mask(profiles, 17, 17) == literal_scan_mask(profiles, 17)
+    assert reads == []
+
+
+def test_exact_block_dimension_of_colliding_groups_matches_the_scan(monkeypatch):
+    reads = count_table_reads(monkeypatch)
+    rng = random.Random(53)
+    pool = rng.sample(range(1 << 16), 53)
+    profile_ints = [pool[c % 53] for c in range(106)]  # every profile twice
+    scheme = scheme_from_profiles([tuple(p >> q & 1 for q in range(16)) for p in profile_ints])
+    for size in (2, 9, 30, 80, 106):
+        members = rng.sample(range(106), size)
+        distinct = list({profile_ints[c] for c in members})
+        assert block_dimension(scheme, members) == literal_scan_mask(distinct, 16)[0].bit_count()
+    assert reads
+
+
 def test_greedy_drop_one_hot_keeps_all_but_one():
     n = 120
     profiles = [1 << q for q in range(n)]

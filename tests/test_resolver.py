@@ -114,6 +114,9 @@ def test_getattribute(hit_scenario):
     assert getattribute(hit_scenario, ConfigInstance(2, 7), True) == 7
     assert getattribute(hit_scenario, ConfigInstance(2, 0), False) == 0
     assert getattribute(hit_scenario, ConfigInstance(2, 0), True) == 5
+    # An already resolved value is used as it is, without a second resolution.
+    assert getattribute(hit_scenario, ConfigInstance(2, 0), True, resolved=9) == 9
+    assert getattribute(hit_scenario, ConfigInstance(2, 7), True, resolved=9) == 7
 
 
 def test_strict_mode_rejects_ill_formed():
