@@ -17,7 +17,7 @@ import numpy as np
 from . import matroid
 from .barrier import collisions
 from .errors import BarrierError, LimitError
-from .scheme import Scheme
+from .scheme import Scheme, _bit_indices
 from .strategies import TAG_FREE_KINDS, StrategyDescriptor, identify
 
 CLOSURE_CHECK_LIMIT = 10
@@ -40,8 +40,8 @@ def check_closure(scheme: Scheme, limit: int = CLOSURE_CHECK_LIMIT) -> list[Chec
     is generated by one-attribute extensions, so the verdict is that of
     every pair X within Y; its first failure is the least (X, q').
     Exchange takes one pass per (q', q) and reports the least (X, q', q).
-    Above ``limit``, or when the table cannot be built, all four are
-    skipped with the reason.
+    Above ``limit``, or when the table or its passes cannot be
+    allocated, all four are skipped with the reason.
     """
     names = ("closure-extensive", "closure-monotone", "closure-idempotent", "closure-exchange")
     n = scheme.n
@@ -50,13 +50,15 @@ def check_closure(scheme: Scheme, limit: int = CLOSURE_CHECK_LIMIT) -> list[Chec
         reasons = (axiom_reason,) * 3 + (f"exchange scan limited to n <= {limit}, scheme has n={n}",)
     else:
         try:
-            cl = matroid.closure_table(scheme)
+            details = _closure_failures(matroid.closure_table(scheme), n)
         except LimitError as exc:
             reasons = (str(exc),) * 4
+        except MemoryError:
+            reasons = (f"cannot allocate the closure passes over the 2^{n}-entry subset table",) * 4
         else:
             return [
                 CheckOutcome(name, ok=detail is None, detail=detail)
-                for name, detail in zip(names, _closure_failures(cl, n))
+                for name, detail in zip(names, details)
             ]
     return [
         CheckOutcome(name, ok=True, skipped=True, detail=reason)
@@ -80,14 +82,11 @@ def _closure_failures(cl, n: int) -> tuple[str | None, ...]:
         rows = -(-below >> q + 1)
         return table.reshape(-1, 2, 1 << q)[:rows], cl.reshape(-1, 2, 1 << q)[:rows, 1:, :]
 
-    def attrs(mask: int) -> list[int]:
-        return sorted(matroid._to_set(mask))
-
     extensive, monotone, idempotent, exchange = None, None, None, None
     if (found := first(np.arange(1 << n, dtype=cl.dtype) & ~cl)) is not None:
-        extensive = f"X={attrs(found)} not within cl(X)"
+        extensive = f"X={list(_bit_indices(found))} not within cl(X)"
     if (found := first(cl[cl] != cl)) is not None:
-        idempotent = f"cl(cl(X)) != cl(X) for X={attrs(found)}"
+        idempotent = f"cl(cl(X)) != cl(X) for X={list(_bit_indices(found))}"
     # X of the failure kept so far: only a smaller X can replace it, so
     # each later pass reads only the rows of its split view below it.
     least_monotone = least_exchange = 1 << n
@@ -96,7 +95,10 @@ def _closure_failures(cl, n: int) -> tuple[str | None, ...]:
         found = first(here & ~up)
         if found is not None and found < least_monotone:
             least_monotone = found
-            monotone = f"X={attrs(found)} subset of Y={attrs(found | 1 << q2)} but cl(X) exceeds cl(Y)"
+            monotone = (
+                f"X={list(_bit_indices(found))} subset of Y={list(_bit_indices(found | 1 << q2))} "
+                "but cl(X) exceeds cl(Y)"
+            )
         here, up = split(cl, q2, 1 << n)
         gained = up & ~here
         # q = q' cannot fail: gaining q' puts it in cl(X + {q'}), where it would be missing.
@@ -110,7 +112,7 @@ def _closure_failures(cl, n: int) -> tuple[str | None, ...]:
                 least_exchange = found
                 exchange = (
                     f"q={q} in cl(X + {{{q2}}}) \\ cl(X) but q'={q2} not in "
-                    f"cl(X + {{{q}}}) for X={attrs(found)}"
+                    f"cl(X + {{{q}}}) for X={list(_bit_indices(found))}"
                 )
     return extensive, monotone, idempotent, exchange
 

@@ -47,7 +47,7 @@ import numpy as np
 
 from .barrier import collisions
 from .errors import BarrierError, LimitError
-from .scheme import Scheme
+from .scheme import Scheme, _bit_indices
 
 EXACT_SUBSET_LIMIT = 16
 
@@ -94,10 +94,6 @@ def _to_mask(indices, n: int) -> int:
             raise IndexError(f"attribute index {q} out of range for n={n}")
         mask |= 1 << q
     return mask
-
-
-def _to_set(mask: int) -> frozenset[int]:
-    return frozenset(q for q in range(mask.bit_length()) if mask >> q & 1)
 
 
 def separates(profiles, mask: int) -> bool:
@@ -214,7 +210,7 @@ def closure(scheme: Scheme, X) -> frozenset[int]:
     varying = 0
     for p in scheme.profile_ints:
         varying |= p ^ first.setdefault(p & x_mask, p)
-    return _to_set(((1 << scheme.n) - 1) & ~varying)
+    return frozenset(_bit_indices(((1 << scheme.n) - 1) & ~varying))
 
 
 def closure_table(scheme: Scheme) -> np.ndarray:
@@ -328,7 +324,7 @@ def enumerate_minimal_distinguishing(scheme: Scheme, max_n: int = EXACT_SUBSET_L
     if scheme.n > max_n:
         raise LimitError(f"exact enumeration limited to n <= {max_n}, scheme has n={scheme.n}")
     masks, failure = _base_masks(scheme.profile_ints, scheme.n)
-    bases = tuple(_to_set(mask) for mask in masks)
+    bases = tuple(frozenset(_bit_indices(mask)) for mask in masks)
 
     counterexample = None
     equal_cardinality_ok = len(bases[0]) == len(bases[-1])
@@ -340,7 +336,7 @@ def enumerate_minimal_distinguishing(scheme: Scheme, max_n: int = EXACT_SUBSET_L
 
     exchange_counterexample = None
     if failure:
-        b1, b2 = (sorted(_to_set(m)) for m in failure[:2])
+        b1, b2 = (list(_bit_indices(m)) for m in failure[:2])
         exchange_counterexample = f"exchange fails for B1={b1}, B2={b2}, q={failure[2]}"
 
     return MatroidReport(
@@ -362,7 +358,7 @@ def distinguishing_dimension(scheme: Scheme, exact_limit: int = EXACT_SUBSET_LIM
     """
     _require_injective(scheme)
     mask, exact = _smallest_separating_mask(scheme.profile_ints, scheme.n, exact_limit)
-    return DimensionResult(dimension=mask.bit_count(), exact=exact, witness=_to_set(mask))
+    return DimensionResult(dimension=mask.bit_count(), exact=exact, witness=frozenset(_bit_indices(mask)))
 
 
 def block_dimension(scheme: Scheme, members, exact_limit: int = EXACT_SUBSET_LIMIT) -> int:

@@ -133,8 +133,8 @@ def simulate_noisy_identification(scheme: Scheme, cfg: NoiseConfig) -> NoiseResu
     masses = masses / masses.sum()
     # The node tuples as arrays: ``leaf`` is -1 at an internal node.
     attribute, child, leaf = np.array([
-        (q, first, -1) if node is None else (0, 0, node.candidates[0])
-        for q, first, node in zip(tree.attribute, tree.first_child, tree.leaves)
+        (q, first, -1) if leaf is None else (0, 0, leaf[0])
+        for q, first, leaf in zip(tree.attribute, tree.first_child, tree.candidates)
     ], dtype=np.intp).T
 
     total_queries = 0

@@ -177,6 +177,16 @@ def _pack_rows(matrix: np.ndarray) -> tuple[int, ...]:
     return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
 
 
+def _bit_indices(mask: int) -> tuple[int, ...]:
+    """The set bits of ``mask``, ascending: a profile's attributes, or a column's classes."""
+    found = []
+    while mask:
+        low = mask & -mask
+        found.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(found)
+
+
 def profile_of(scheme: Scheme, class_index: int) -> Profile:
     """Return the profile record of one class.
 

@@ -248,9 +248,8 @@ def hybrid_tag_plan(scheme: Scheme, L: int) -> TagPlan:
 
 def _walk_transcript(scheme: Scheme, tree, c: int, prefix: tuple = ()) -> Transcript:
     """Transcript of class ``c`` walking ``tree`` after the ``prefix`` queries."""
-    queried, leaf = walk(tree, scheme.row(c))
-    queries = (*prefix, *queried)
-    return Transcript(queries, leaf.candidates[0], len(leaf.candidates) > 1)
+    queried, candidates = walk(tree, scheme.row(c))
+    return Transcript((*prefix, *queried), candidates[0], len(candidates) > 1)
 
 
 def identify_all(scheme: Scheme, strat: StrategyDescriptor, class_indices) -> list[Transcript]:

@@ -20,7 +20,7 @@ the scheme's own class indices.
 
 A tree is its nodes in breadth-first order, as plain tuples that both
 builders lay out (``_layout``) and both walks read; only leaves hold
-candidates.  The nested ``TreeNode`` view is built on first use.
+candidates, as class tuples.  The nested ``TreeNode`` view is built on first use.
 """
 from __future__ import annotations
 
@@ -30,7 +30,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import LimitError
-from .scheme import Scheme
+from .scheme import Scheme, _bit_indices
 
 EXACT_TREE_CLASS_LIMIT = 24
 EXACT_TREE_ATTR_LIMIT = 20
@@ -54,12 +54,12 @@ class TreeNode:
 class DecisionTree:
     """Nodes in breadth-first order, the root first: ``attribute`` queried,
     None at a leaf; ``first_child``, the answer-0 child's index (answer 1's
-    is the next), None at a leaf; ``leaves``, the leaf ``TreeNode`` with its
-    candidates, None at an internal node.  ``root`` is the nested view."""
+    is the next), None at a leaf; ``candidates``, a leaf's classes ascending,
+    None at an internal node.  ``root`` is the nested view, built on first use."""
 
     attribute: tuple[int | None, ...]
     first_child: tuple[int | None, ...]
-    leaves: tuple[TreeNode | None, ...]
+    candidates: tuple[tuple[int, ...] | None, ...]
     depth: int
     exact: bool
 
@@ -68,7 +68,7 @@ class DecisionTree:
         """Nested ``TreeNode`` view, built from the last node back, so each
         child before its parent; an internal node's candidates merge its
         children's two sorted runs, a linear ``sorted``."""
-        nodes = list(self.leaves)
+        nodes = [None if leaf is None else TreeNode(None, leaf) for leaf in self.candidates]
         for i in reversed(range(len(nodes))):
             if self.attribute[i] is not None:
                 zero, one = nodes[self.first_child[i]], nodes[self.first_child[i] + 1]
@@ -91,31 +91,22 @@ def _exact_fits(scheme: Scheme, mask: int) -> bool:
     return mask.bit_count() <= EXACT_TREE_CLASS_LIMIT and scheme.n <= EXACT_TREE_ATTR_LIMIT
 
 
-def _candidates(mask: int) -> tuple[int, ...]:
-    found = []
-    while mask:
-        low = mask & -mask
-        found.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(found)
-
-
 def _layout(start: int, columns, split) -> tuple[tuple, tuple, tuple, int]:
     """``DecisionTree`` fields but ``exact`` of the tree querying ``split(mask)``
     at each candidate mask, None making a leaf; the last node is deepest.
     Iterative, so a tree may be deeper than Python's recursion limit."""
-    attribute, first_child, leaves, pending = [], [], [], [(start, 0)]
+    attribute, first_child, candidates, pending = [], [], [], [(start, 0)]
     for mask, level in pending:  # grows while it is read: breadth-first order
         attr = split(mask)
         attribute.append(attr)
         if attr is None:
             first_child.append(None)
-            leaves.append(TreeNode(None, _candidates(mask)))
+            candidates.append(_bit_indices(mask))
         else:
             first_child.append(len(pending))
-            leaves.append(None)
+            candidates.append(None)
             pending += ((mask & ~columns[attr], level + 1), (mask & columns[attr], level + 1))
-    return tuple(attribute), tuple(first_child), tuple(leaves), pending[-1][1]
+    return tuple(attribute), tuple(first_child), tuple(candidates), pending[-1][1]
 
 
 def _depth_bound(count: int, widest: int) -> int:
@@ -165,7 +156,7 @@ def optimal_decision_tree(scheme: Scheme, classes=None) -> DecisionTree:
     # keeps or drops them together: ANDed with ``reps``, the lowest class of
     # each distinct profile, a reached mask has the same splitting
     # attributes and counts its distinct profiles by its bits.
-    reps = sum({scheme.profile_ints[c]: 1 << c for c in reversed(_candidates(start))}.values())
+    reps = sum({scheme.profile_ints[c]: 1 << c for c in reversed(_bit_indices(start))}.values())
     memo: dict[int, tuple[int, int | None]] = {}
 
     def solve(mask: int) -> tuple[int, int | None]:
@@ -222,7 +213,7 @@ def _most_balanced_splits(scheme: Scheme, start: int) -> dict[int, int | None]:
     columns, bits = scheme.column_masks, scheme.bits
     split: dict[int, int | None] = {start: None}  # with no attribute the root is a leaf
     masks = [start] if scheme.n else []
-    rows = np.array(_candidates(start), dtype=np.intp)
+    rows = np.array(_bit_indices(start), dtype=np.intp)
     # Counts never exceed k: 32 bits halve the widest level's arrays.
     sizes = np.array([len(rows)], dtype=np.int32)
     counts = bits[rows].sum(axis=0, keepdims=True, dtype=np.int32)
@@ -275,11 +266,11 @@ def adaptive_tree(scheme: Scheme, classes=None) -> DecisionTree:
     return greedy_decision_tree(scheme, classes)
 
 
-def walk(tree: DecisionTree, profile_bits) -> tuple[list[int], TreeNode]:
-    """Follow the answers of one profile; return queried attributes and leaf."""
+def walk(tree: DecisionTree, profile_bits) -> tuple[list[int], tuple[int, ...]]:
+    """Follow the answers of one profile; return queried attributes and leaf candidates."""
     attribute, first_child = tree.attribute, tree.first_child
     node, queried = 0, []
     while (attr := attribute[node]) is not None:
         queried.append(attr)
         node = first_child[node] + profile_bits[attr]
-    return queried, tree.leaves[node]
+    return queried, tree.candidates[node]

@@ -235,8 +235,8 @@ def test_one_hot_tree_deeper_than_the_recursion_limit(capsys, tmp_path):
 
 
 def test_commands_walk_trees_without_building_the_nested_view(capsys, monkeypatch, tmp_path):
-    # Every command reads a tree's node tuples; the ``TreeNode`` view under
-    # ``DecisionTree.root`` is built only when a caller asks for it.
+    # Every command reads a tree's node tuples; no ``TreeNode`` is built,
+    # leaf or view, unless a caller asks for ``DecisionTree.root``.
     built = []
 
     class RecordedTree(trees.DecisionTree):
@@ -244,24 +244,33 @@ def test_commands_walk_trees_without_building_the_nested_view(capsys, monkeypatc
             super().__init__(*args, **kwargs)
             built.append(self)
 
+    def no_tree_node(*args, **kwargs):
+        raise AssertionError("a command built a TreeNode")
+
     monkeypatch.setattr(trees, "DecisionTree", RecordedTree)
-    path = tmp_path / "table1.json"
-    path.write_text(serialize_scheme(table1_scheme()))
+    monkeypatch.setattr(trees, "TreeNode", no_tree_node)
+    table1 = tmp_path / "table1.json"
+    table1.write_text(serialize_scheme(table1_scheme()))
+    # k=20/n=16 is within the exact limits, so its group trees are exact.
+    small = tmp_path / "k20n16.json"
+    small.write_text(serialize_scheme(random_injective_scheme(random.Random(36), 20, 16)))
     commands = (
-        ["analyze"],
-        ["tradeoff"],
-        ["simulate", "--strategy", "adaptive"],
-        ["simulate-noise", "--eps", "0.1", "--delta", "0.01", "--trials", "1000", "--seed", "3"],
+        [table1, "analyze"],
+        [table1, "tradeoff"],
+        [table1, "simulate", "--strategy", "adaptive"],
+        [table1, "simulate-noise", "--eps", "0.1", "--delta", "0.01", "--trials", "1000", "--seed", "3"],
+        [small, "simulate", "--strategy", "hybrid", "--tags", "2"],
+        [small, "tradeoff", "--tags", "1", "2"],
     )
     try:
         trees.greedy_decision_tree.cache_clear()
         trees.optimal_decision_tree.cache_clear()
-        for command, *options in commands:
+        for path, command, *options in commands:
             assert run_cli(capsys, [command, str(path), *options])[0] == 0
     finally:
         trees.greedy_decision_tree.cache_clear()
         trees.optimal_decision_tree.cache_clear()
-    assert built
+    assert any(tree.exact for tree in built) and not all(tree.exact for tree in built)
     assert all("root" not in tree.__dict__ for tree in built)
 
 

@@ -1,0 +1,111 @@
+"""Hostile and extreme inputs end with their documented exit code, in time.
+
+Each case runs ``python -m discern.cli`` in a fresh process, with a wall
+clock timeout and an address-space limit (``RLIMIT_AS``) set on that child
+only.  Exit codes: 0 success, 2 a refused input, 3 a limit.  A case that is
+still running at its timeout is a hang.  The known hangs are strict xfails
+until ROADMAP item 4's work budget ends them.
+"""
+import json
+import os
+import random
+import resource
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from corpus import random_injective_scheme, table1_scheme
+from discern.scheme import serialize_scheme
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+ADDRESS_SPACE = 1 << 30
+
+
+def _table1_bad_bit() -> str:
+    doc = json.loads(serialize_scheme(table1_scheme()))
+    doc["classes"][999]["profile"][49] = 2
+    return json.dumps(doc, indent=2)
+
+
+INPUTS = {
+    "deep.json": lambda: "[" * 200_000 + "]" * 200_000,
+    "table1.json": lambda: serialize_scheme(table1_scheme()),
+    "table1-bad-bit.json": _table1_bad_bit,
+    "k64n31.json": lambda: serialize_scheme(random_injective_scheme(random.Random(31), 64, 31)),
+    "k200n17.json": lambda: serialize_scheme(random_injective_scheme(random.Random(17), 200, 17)),
+    "k20n16.json": lambda: serialize_scheme(random_injective_scheme(random.Random(16), 20, 16)),
+}
+
+
+def _error(kind: str):
+    return lambda doc: doc["error"]["type"] == kind
+
+
+def _closure_skipped(doc) -> bool:
+    closure = [c for c in doc["checks"] if c["name"].startswith("closure-")]
+    return len(closure) == 4 and all(c["skipped"] for c in closure)
+
+
+def _hang(reason: str):
+    return pytest.mark.xfail(strict=True, raises=subprocess.TimeoutExpired, reason=f"ROADMAP item 4: {reason}")
+
+
+# (argv with an INPUTS name, expected exit code, seconds, check of the JSON output)
+CASES = [
+    pytest.param(["analyze", "deep.json"], 2, 5, _error("ParseError"), id="200000-deep-json"),
+    pytest.param(["analyze", "table1-bad-bit.json"], 2, 5, _error("ValidationError"), id="table1-one-bad-bit"),
+    pytest.param(["bases", "k64n31.json", "--max-n", "31"], 3, 5, _error("LimitError"), id="bases-n31"),
+    pytest.param(["check", "k64n31.json", "--closure-limit", "31"], 0, 5, _closure_skipped, id="check-n31"),
+    pytest.param(["dimension", "k200n17.json"], 0, 5, lambda doc: doc["exact"] is False, id="dimension-n17-greedy"),
+    pytest.param(
+        ["dimension", "table1.json", "--exact-limit", "50"],
+        0,
+        2,
+        lambda doc: doc["exact"] is False,
+        id="dimension-table1-exact-limit-50",
+        marks=_hang("the subset scan walks C(50, s) masks with no work budget"),
+    ),
+    pytest.param(
+        ["simulate-noise", "k20n16.json", "--eps", "0.1", "--delta", "0.01", "--seed", "1", "--trials", "2000000000"],
+        3,
+        2,
+        _error("LimitError"),
+        id="simulate-noise-2e9-trials",
+        marks=_hang("nothing bounds trials x depth draws"),
+    ),
+]
+
+
+@pytest.fixture(scope="module")
+def input_path(tmp_path_factory):
+    """The path of an INPUTS document, written on first use."""
+    folder = tmp_path_factory.mktemp("hostile")
+
+    def path(name: str) -> Path:
+        target = folder / name
+        if not target.exists():
+            target.write_text(INPUTS[name]())
+        return target
+
+    return path
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE, ADDRESS_SPACE))
+
+
+@pytest.mark.parametrize("argv, code, seconds, check", CASES)
+def test_hostile_input_ends_with_its_exit_code(input_path, argv, code, seconds, check):
+    argv = [str(input_path(a)) if a in INPUTS else a for a in argv]
+    done = subprocess.run(
+        [sys.executable, "-m", "discern.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        timeout=seconds,
+        preexec_fn=_limit_address_space,
+    )
+    assert done.returncode == code, done.stderr[-2000:]
+    assert check(json.loads(done.stdout)), done.stdout[:2000]

@@ -20,7 +20,6 @@ from discern.errors import BarrierError, LimitError
 from discern.matroid import (
     SUBSET_TABLE_LIMIT,
     _to_mask,
-    _to_set,
     block_dimension,
     closure,
     closure_table,
@@ -29,6 +28,7 @@ from discern.matroid import (
     is_distinguishing,
     x_equivalent,
 )
+from discern.scheme import _bit_indices
 
 # Inclusion-minimal distinguishing sets of sizes 2 and 3 coexist here, so the
 # bases family is not a matroid; used to pin the reporting behavior.
@@ -269,6 +269,21 @@ def test_check_closure_skips_above_the_limit():
     assert [o.detail for o in outcomes] == [axiom, axiom, axiom, exchange]
 
 
+def test_check_closure_skips_when_its_passes_run_out_of_memory(monkeypatch):
+    # The 2^n table fits but a pass over it does not: the four outcomes
+    # are skipped with the reason, as for a refused table.
+    class NoRoomForPasses(np.ndarray):
+        def __invert__(self):
+            raise MemoryError
+
+    table = checks.matroid.closure_table
+    monkeypatch.setattr(checks.matroid, "closure_table", lambda s: table(s).view(NoRoomForPasses))
+    outcomes = checks.check_closure(random_injective_scheme(random.Random(3), 8, 4))
+    assert all(o.ok and o.skipped for o in outcomes)
+    reason = "cannot allocate the closure passes over the 2^4-entry subset table"
+    assert [o.detail for o in outcomes] == [reason] * 4
+
+
 def test_check_scheme_builds_the_closure_table_once(monkeypatch):
     calls = []
     real = checks.matroid.closure_table
@@ -319,7 +334,7 @@ def test_monotone_verdict_matches_submask_scan(monkeypatch):
     for _ in range(300):
         n = rng.randint(0, 6)
         scheme = random_scheme(rng, rng.randint(1, 8), n)
-        table = [_to_mask(closure(scheme, _to_set(x)), n) for x in range(1 << n)]
+        table = [_to_mask(closure(scheme, _bit_indices(x)), n) for x in range(1 << n)]
         if n and rng.random() < 0.5:
             table[rng.randrange(1 << n)] ^= 1 << rng.randrange(n)
         expected = submask_monotone(table, n)
@@ -354,7 +369,7 @@ def test_closure_table_matches_closure():
         table = closure_table(scheme)
         assert table.shape == (1 << n,)
         assert [int(c) for c in table] == [
-            _to_mask(closure(scheme, _to_set(x)), n) for x in range(1 << n)
+            _to_mask(closure(scheme, _bit_indices(x)), n) for x in range(1 << n)
         ]
 
 
@@ -365,7 +380,7 @@ def literal_check_closure(cl: list[int], n: int) -> list[checks.CheckOutcome]:
     found: dict[str, str] = {}  # name -> detail of its first failure
 
     def attrs(mask: int) -> list[int]:
-        return sorted(_to_set(mask))
+        return sorted(_bit_indices(mask))
 
     for x in range(1 << n):
         cx = cl[x]
@@ -393,7 +408,7 @@ def test_check_closure_matches_the_per_subset_loop():
     exchange_failures = 0
     for scheme in closure_schemes(2026, 300):
         n = scheme.n
-        cl = [_to_mask(closure(scheme, _to_set(x)), n) for x in range(1 << n)]
+        cl = [_to_mask(closure(scheme, _bit_indices(x)), n) for x in range(1 << n)]
         expected = literal_check_closure(cl, n)
         assert checks.check_closure(scheme) == expected
         exchange_failures += not expected[3].ok
@@ -408,7 +423,7 @@ def test_check_closure_matches_the_loop_on_injected_operators(monkeypatch):
     for _ in range(300):
         n = rng.randint(0, 6)
         scheme = random_scheme(rng, rng.randint(1, 8), n)
-        table = [_to_mask(closure(scheme, _to_set(x)), n) for x in range(1 << n)]
+        table = [_to_mask(closure(scheme, _bit_indices(x)), n) for x in range(1 << n)]
         if rng.random() < 0.5:
             for _ in range(rng.randint(1, 3) if n else 0):
                 table[rng.randrange(1 << n)] ^= 1 << rng.randrange(n)

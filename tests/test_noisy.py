@@ -294,10 +294,10 @@ def test_flat_tree_children_reach_the_walked_leaf():
         for c in range(scheme.k):
             bits = scheme.classes[c].profile.bits
             node = 0
-            while tree.leaves[node] is None:
+            while tree.candidates[node] is None:
                 node = tree.first_child[node] + bits[tree.attribute[node]]
             assert tree.attribute[node] is None and tree.first_child[node] is None
-            assert tree.leaves[node].candidates[0] == walk(tree, bits)[1].candidates[0] == c
+            assert tree.candidates[node][0] == walk(tree, bits)[1][0] == c
 
 
 def test_noiseless_walk_follows_the_drawn_classes():

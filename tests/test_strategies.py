@@ -235,8 +235,8 @@ def test_adaptive_depth_can_beat_minimal_set_size():
 def test_leaf_candidates_are_path_consistent(s1):
     tree = optimal_decision_tree(s1)
     for c in range(s1.k):
-        _, leaf = walk(tree, s1.classes[c].profile.bits)
-        assert c in leaf.candidates
+        _, candidates = walk(tree, s1.classes[c].profile.bits)
+        assert c in candidates
 
 
 def collect_paths(node, prefix=()):
@@ -530,7 +530,7 @@ def test_group_tree_keeps_global_indices(s2):
     assert len(tree.root.candidates) == 2 and tree.depth <= s2.n
     assert s2.class_names[tree.root.candidates[0]] == "B"
     for c in (1, 3):
-        assert walk(tree, s2.classes[c].profile.bits)[1].candidates == (c,)
+        assert walk(tree, s2.classes[c].profile.bits)[1] == (c,)
 
 
 def literal_subscheme(scheme, members):
@@ -681,10 +681,9 @@ def assert_layout_matches(scheme, classes, tree, reference_root):
     """``walk`` over the node tuples follows the reference tree for every
     member class, and the tuples hold 2 x leaves - 1 nodes."""
     for c in range(scheme.k) if classes is None else classes:
-        queried, leaf = walk(tree, scheme.row(c))
-        assert (queried, leaf.candidates) == reference_walk(reference_root, scheme.row(c))
-    leaves = sum(leaf is not None for leaf in tree.leaves)
-    assert len(tree.attribute) == len(tree.first_child) == len(tree.leaves) == 2 * leaves - 1
+        assert walk(tree, scheme.row(c)) == reference_walk(reference_root, scheme.row(c))
+    leaves = sum(leaf is not None for leaf in tree.candidates)
+    assert len(tree.attribute) == len(tree.first_child) == len(tree.candidates) == 2 * leaves - 1
 
 
 @st.composite
