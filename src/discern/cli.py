@@ -4,10 +4,14 @@ JSON on stdout is the machine interface; ``--pretty`` renders tables for
 humans.  Exit codes: 0 success, 1 usage, 2 parse/validation error,
 3 size limit exceeded, 4 property violation found by ``check``.
 
-Every command is one entry of ``COMMANDS``.  A run whose first argument
-names a command builds that command's parser alone, since one process
-runs one command; help, version and usage errors print the same bytes as
-from the parser of every command, which any other argv gets.
+Every command is one entry of ``COMMANDS``: its help, its options and
+the function that builds its document from the scheme and the parsed
+arguments.  ``run`` parses argv, loads the scheme when the entry reads
+one, and calls the builder; ``report`` calls the other commands'
+builders, so each section equals that command's document.  A run whose
+first argument names a command builds that command's parser alone, since
+one process runs one command; help, version and usage errors print the
+same bytes as from the parser of every command, which any other argv gets.
 """
 from __future__ import annotations
 
@@ -39,7 +43,7 @@ class UsageError(Exception):
     """Argument combinations argparse cannot express (exit code 1)."""
 
 
-def _analyze_doc(scheme: Scheme) -> dict:
+def _analyze_doc(scheme: Scheme, args) -> dict:
     report = barrier.collisions(scheme)
     capacity = barrier.identification_capacity(scheme)
     names = scheme.class_names
@@ -54,13 +58,13 @@ def _analyze_doc(scheme: Scheme) -> dict:
     }
 
 
-def _dimension_doc(scheme: Scheme, exact_limit: int) -> dict:
-    result = matroid.distinguishing_dimension(scheme, exact_limit=exact_limit)
+def _dimension_doc(scheme: Scheme, args) -> dict:
+    result = matroid.distinguishing_dimension(scheme, exact_limit=args.exact_limit)
     return {"dimension": result.dimension, "exact": result.exact}
 
 
-def _bases_doc(scheme: Scheme, max_n: int) -> dict:
-    report = matroid.enumerate_minimal_distinguishing(scheme, max_n=max_n)
+def _bases_doc(scheme: Scheme, args) -> dict:
+    report = matroid.enumerate_minimal_distinguishing(scheme, max_n=args.max_n)
     names = scheme.attributes
     return {
         "bases": [[names[q] for q in sorted(base)] for base in report.bases],
@@ -75,7 +79,8 @@ def _point_doc(point: tradeoff.TradeoffPoint) -> dict:
     return {"L": point.L, "W": point.W, "D": point.D, "strategy": point.source.kind}
 
 
-def _tradeoff_doc(scheme: Scheme, tags) -> dict:
+def _tradeoff_doc(scheme: Scheme, args) -> dict:
+    tags = args.tags or ()
     points = tradeoff.achievable_points(scheme, hybrid_tags=tags)
     frontier = tradeoff.pareto_frontier(points)
     doc = {
@@ -109,8 +114,11 @@ def _transcript_doc(scheme: Scheme, transcript) -> dict:
     }
 
 
-def _simulate_doc(scheme: Scheme, kind: str, tag_bits: int | None, class_name: str | None) -> dict:
+def _simulate_doc(scheme: Scheme, args) -> dict:
+    kind, tag_bits, class_name = args.strategy, args.tags, args.class_name
     if tag_bits is None:
+        if kind == "hybrid":
+            raise UsageError("--tags is required for the hybrid strategy")
         tag_bits = tag_bits_for(scheme.k) if kind == "nominal" else 0
     strat = StrategyDescriptor(kind, tag_bits)
     try:
@@ -133,8 +141,14 @@ def _simulate_doc(scheme: Scheme, kind: str, tag_bits: int | None, class_name: s
     }
 
 
-def _noise_result_doc(result: noisy.NoiseResult, epsilon: float, delta: float, trials: int) -> dict:
-    return {"epsilon": epsilon, "delta": delta, "trials": trials, **dataclasses.asdict(result)}
+def _noise_row(scheme: Scheme, simulate, epsilon: float, args) -> dict:
+    result = simulate(scheme, noisy.NoiseConfig(epsilon, args.delta, args.trials, args.seed))
+    return {"epsilon": epsilon, "delta": args.delta, "trials": args.trials, **dataclasses.asdict(result)}
+
+
+def _simulate_noise_doc(scheme: Scheme, args) -> dict:
+    simulate = noisy.simulate_tagged if args.tagged else noisy.simulate_noisy_identification
+    return {"results": [_noise_row(scheme, simulate, eps, args) for eps in args.eps]}
 
 
 def _csv(rows, fields) -> str:
@@ -144,7 +158,9 @@ def _csv(rows, fields) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _resolve_doc(scenario, obj, lazy, with_trace: bool, strict: bool) -> dict:
+def _resolve_doc(path: str, with_trace: bool, strict: bool) -> dict:
+    with open(path, encoding="utf-8") as handle:
+        scenario, obj, lazy = resolver.parse_scenario(handle.read())
     trace: list = []
     result = resolver.resolve(scenario, trace=trace, strict=strict)
     doc: dict = {
@@ -164,13 +180,12 @@ def _resolve_doc(scenario, obj, lazy, with_trace: bool, strict: bool) -> dict:
     return doc
 
 
-def _check_doc(scheme: Scheme, closure_limit: int) -> tuple[dict, int]:
-    outcomes = checks.check_scheme(scheme, closure_limit=closure_limit)
-    doc = {
+def _check_doc(scheme: Scheme, args) -> dict:
+    outcomes = checks.check_scheme(scheme, closure_limit=args.closure_limit)
+    return {
         "ok": all(o.ok for o in outcomes),
         "checks": [dataclasses.asdict(o) for o in outcomes],
     }
-    return doc, 0 if doc["ok"] else VIOLATION_EXIT
 
 
 def scheme_digest(scheme: Scheme) -> str:
@@ -178,23 +193,19 @@ def scheme_digest(scheme: Scheme) -> str:
 
 
 def _report_doc(scheme: Scheme, args) -> dict:
-    sections: dict = {"barrier": _analyze_doc(scheme)}
+    sections: dict = {"barrier": _analyze_doc(scheme, args)}
     try:
-        sections["matroid"] = _bases_doc(scheme, args.max_n)
+        sections["matroid"] = _bases_doc(scheme, args)
     except (BarrierError, LimitError) as exc:
         sections["matroid"] = {"skipped": str(exc)}
-    sections["tradeoff"] = _tradeoff_doc(scheme, args.tags or ())
+    sections["tradeoff"] = _tradeoff_doc(scheme, args)
     if args.seed is not None:
-        cfg = noisy.NoiseConfig(args.eps, args.delta, args.trials, args.seed)
         try:
-            result = noisy.simulate_noisy_identification(scheme, cfg)
-            sections["noise"] = _noise_result_doc(result, args.eps, args.delta, args.trials)
+            sections["noise"] = _noise_row(scheme, noisy.simulate_noisy_identification, args.eps, args)
         except BarrierError as exc:
             sections["noise"] = {"skipped": str(exc)}
     if args.scenario is not None:
-        with open(args.scenario, encoding="utf-8") as handle:
-            scenario, obj, lazy = resolver.parse_scenario(handle.read())
-        sections["resolver"] = _resolve_doc(scenario, obj, lazy, with_trace=False, strict=False)
+        sections["resolver"] = _resolve_doc(args.scenario, with_trace=False, strict=False)
     return {
         "scheme_digest": scheme_digest(scheme),
         "sections": sections,
@@ -232,9 +243,15 @@ def _bases_options(cmd):
     cmd.add_argument("--max-n", type=int, default=matroid.EXACT_SUBSET_LIMIT)
 
 
+def _csv_option(cmd, rows: str, fields: tuple):
+    """``--csv``, which writes the document's ``rows`` list as ``fields``."""
+    cmd.add_argument("--csv", help=f"also write {rows} as CSV to this path")
+    cmd.set_defaults(csv_rows=rows, csv_fields=fields)
+
+
 def _tradeoff_options(cmd):
     cmd.add_argument("--tags", type=int, nargs="+", help="hybrid tag bit-widths to evaluate")
-    cmd.add_argument("--csv", help="also write points as CSV to this path")
+    _csv_option(cmd, "points", ("L", "W", "D", "strategy"))
 
 
 def _simulate_options(cmd):
@@ -249,7 +266,7 @@ def _simulate_noise_options(cmd):
     cmd.add_argument("--trials", type=int, required=True)
     cmd.add_argument("--seed", type=int, required=True)
     cmd.add_argument("--tagged", action="store_true", help="simulate the clean tag side channel")
-    cmd.add_argument("--csv", help="also write results as CSV to this path")
+    _csv_option(cmd, "results", ("epsilon", "delta", "mean_queries", "empirical_error", "reference_bound"))
 
 
 def _resolve_options(cmd):
@@ -273,17 +290,28 @@ def _report_options(cmd):
 
 
 # Every command, in help order: its help text, whether it reads a scheme
-# document, and the function that adds its own options.
+# document, the function that adds its own options, and the function that
+# builds its document from (scheme or None, parsed arguments).
 COMMANDS = {
-    "analyze": ("barrier, capacity, quotient, and information loss", True, lambda cmd: None),
-    "dimension": ("distinguishing dimension", True, _dimension_options),
-    "bases": ("minimal distinguishing sets and axiom checks", True, _bases_options),
-    "tradeoff": ("achievable points, Pareto frontier, converse verdicts", True, _tradeoff_options),
-    "simulate": ("identification transcripts for one strategy", True, _simulate_options),
-    "simulate-noise": ("Monte-Carlo identification over a noisy channel", True, _simulate_noise_options),
-    "resolve": ("run the dual-axis resolver on a scenario", False, _resolve_options),
-    "check": ("run the property suite against a scheme", True, _check_options),
-    "report": ("full analysis report with scheme digest", True, _report_options),
+    "analyze": ("barrier, capacity, quotient, and information loss", True, lambda cmd: None, _analyze_doc),
+    "dimension": ("distinguishing dimension", True, _dimension_options, _dimension_doc),
+    "bases": ("minimal distinguishing sets and axiom checks", True, _bases_options, _bases_doc),
+    "tradeoff": ("achievable points, Pareto frontier, converse verdicts", True, _tradeoff_options, _tradeoff_doc),
+    "simulate": ("identification transcripts for one strategy", True, _simulate_options, _simulate_doc),
+    "simulate-noise": (
+        "Monte-Carlo identification over a noisy channel",
+        True,
+        _simulate_noise_options,
+        _simulate_noise_doc,
+    ),
+    "resolve": (
+        "run the dual-axis resolver on a scenario",
+        False,
+        _resolve_options,
+        lambda scheme, args: _resolve_doc(args.scenario, args.trace, args.strict),
+    ),
+    "check": ("run the property suite against a scheme", True, _check_options, _check_doc),
+    "report": ("full analysis report with scheme digest", True, _report_options, _report_doc),
 }
 
 
@@ -307,7 +335,7 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
         sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
         names = [command]
     for name in names:
-        help_text, scheme_arg, add_options = COMMANDS[name]
+        help_text, scheme_arg, add_options, _ = COMMANDS[name]
         cmd = sub.add_parser(name, help=help_text)
         if scheme_arg:
             cmd.add_argument("scheme", help="path to a scheme JSON document")
@@ -315,46 +343,6 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
         cmd.add_argument("--pretty", action="store_true", help="human-readable rendering")
         add_options(cmd)
     return parser
-
-
-def _dispatch(args) -> tuple[dict, int, str | None]:
-    """Returns (document, exit code, optional csv text)."""
-    if args.command == "resolve":
-        with open(args.scenario, encoding="utf-8") as handle:
-            scenario, obj, lazy = resolver.parse_scenario(handle.read())
-        return _resolve_doc(scenario, obj, lazy, args.trace, args.strict), 0, None
-
-    scheme = load_scheme(args.scheme)
-    if args.command == "analyze":
-        return _analyze_doc(scheme), 0, None
-    if args.command == "dimension":
-        return _dimension_doc(scheme, args.exact_limit), 0, None
-    if args.command == "bases":
-        return _bases_doc(scheme, args.max_n), 0, None
-    if args.command == "tradeoff":
-        doc = _tradeoff_doc(scheme, tuple(args.tags or ()))
-        return doc, 0, _csv(doc["points"], ("L", "W", "D", "strategy")) if args.csv else None
-    if args.command == "simulate":
-        if args.strategy == "hybrid" and args.tags is None:
-            raise UsageError("--tags is required for the hybrid strategy")
-        return _simulate_doc(scheme, args.strategy, args.tags, args.class_name), 0, None
-    if args.command == "simulate-noise":
-        rows = []
-        for eps in args.eps:
-            cfg = noisy.NoiseConfig(eps, args.delta, args.trials, args.seed)
-            if args.tagged:
-                result = noisy.simulate_tagged(scheme, cfg)
-            else:
-                result = noisy.simulate_noisy_identification(scheme, cfg)
-            rows.append(_noise_result_doc(result, eps, args.delta, args.trials))
-        fields = ("epsilon", "delta", "mean_queries", "empirical_error", "reference_bound")
-        return {"results": rows}, 0, _csv(rows, fields) if args.csv else None
-    if args.command == "check":
-        doc, code = _check_doc(scheme, args.closure_limit)
-        return doc, code, None
-    if args.command == "report":
-        return _report_doc(scheme, args), 0, None
-    raise AssertionError(f"unhandled command {args.command}")
 
 
 def run(argv) -> int:
@@ -369,8 +357,9 @@ def run(argv) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else USAGE_EXIT
 
+    _, scheme_arg, _, build = COMMANDS[args.command]
     try:
-        doc, code, csv_text = _dispatch(args)
+        doc = build(load_scheme(args.scheme) if scheme_arg else None, args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
@@ -378,6 +367,9 @@ def run(argv) -> int:
         doc, code, csv_text = _error_doc(exc), DATA_EXIT, None
     except LimitError as exc:
         doc, code, csv_text = _error_doc(exc), LIMIT_EXIT, None
+    else:
+        code = VIOLATION_EXIT if doc.get("ok") is False else 0
+        csv_text = _csv(doc[args.csv_rows], args.csv_fields) if getattr(args, "csv", None) else None
 
     # The CSV goes first, so an unwritable path stops the run before any
     # document is written; either failure leaves one error document on stdout.

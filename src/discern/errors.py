@@ -26,11 +26,12 @@ def _unique_keys(pairs: list) -> dict:
 
 
 def decode_json(text: str):
-    """``json.loads``, raising ParseError for malformed JSON, a key repeated
-    within one object, and nesting too deep for the decoder."""
+    """``json.loads``, raising ParseError for malformed JSON, an integer
+    literal too long to convert, a key repeated within one object, and
+    nesting too deep for the decoder."""
     try:
         return json.loads(text, object_pairs_hook=_unique_keys)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # json.JSONDecodeError is a ValueError too
         raise ParseError(f"invalid JSON: {exc}") from exc
     except RecursionError as exc:
         raise ParseError("invalid JSON: nested too deeply to decode") from exc

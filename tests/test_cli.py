@@ -16,7 +16,7 @@ import pytest
 from corpus import binary_linear_scheme, random_injective_scheme, scheme_from_profiles, table1_scheme
 from golden_cases import GOLDEN_CASES, fill
 from discern import cli, matroid, strategies, trees
-from discern.scheme import serialize_scheme
+from discern.scheme import Scheme, serialize_scheme
 
 
 def run_cli(capsys, args):
@@ -175,6 +175,29 @@ def test_deeply_nested_json_is_a_parse_error(capsys, tmp_path, command):
     assert json.loads(out) == {
         "error": {"type": "ParseError", "message": "invalid JSON: nested too deeply to decode"}
     }
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="this interpreter converts integer literals of any length",
+)
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("analyze", '{"attributes": ["a"], "classes": [{"name": "A", "profile": [1%s]}]}'),
+        ("analyze", '{"attributes": ["a"], "classes": [{"name": "A", "profile": [1]}], "masses": [1%s]}'),
+        ("resolve", '{"mro": [1%s]}'),
+    ],
+    ids=["profile", "mass", "mro"],
+)
+def test_too_long_integer_literal_is_a_parse_error(capsys, tmp_path, command, text):
+    path = tmp_path / "long.json"
+    path.write_text(text % ("0" * sys.get_int_max_str_digits()))
+    code, out = run_cli(capsys, [command, str(path)])
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["type"] == "ParseError"
+    assert error["message"].startswith("invalid JSON: ")
 
 
 @pytest.mark.parametrize(
@@ -406,6 +429,26 @@ def test_report_sections_and_digest(capsys, fixtures_dir):
     assert frontier <= points
 
 
+@pytest.mark.parametrize("scheme", ["s2", "s3"])
+def test_report_sections_are_the_other_commands_documents(capsys, fixtures_dir, scheme):
+    path, scenario = str(fixtures_dir / f"{scheme}.json"), str(fixtures_dir / "scenario2.json")
+
+    def document(*argv):
+        code, out = run_cli(capsys, list(argv))
+        assert code == 0
+        return json.loads(out)
+
+    noise = document("simulate-noise", path, "--eps", "0.1", "--delta", "0.01", "--trials", "1000", "--seed", "3")
+    report = document("report", path, "--tags", "1", "2", "--seed", "3", "--scenario", scenario)
+    assert report["sections"] == {
+        "barrier": document("analyze", path),
+        "matroid": document("bases", path),
+        "tradeoff": document("tradeoff", path, "--tags", "1", "2"),
+        "noise": noise["results"][0],
+        "resolver": document("resolve", scenario),
+    }
+
+
 def test_report_scenario_section(capsys, fixtures_dir):
     code, out = run_cli(
         capsys,
@@ -495,7 +538,7 @@ def test_help_and_usage_exit_codes(capsys):
 def _argv_corpus():
     s1 = "{fixtures}/s1.json"
     corpus = [[], ["--help"], ["--version"], ["nope"], ["-o", "x", "analyze"]]
-    for command, (_, scheme_arg, _) in cli.COMMANDS.items():
+    for command, (_, scheme_arg, _, _) in cli.COMMANDS.items():
         document = s1 if scheme_arg else "{fixtures}/scenario1.json"
         corpus += [[command, "--help"], [command], [command, document, "--bogus"]]
     return corpus + [
@@ -514,6 +557,29 @@ def test_one_command_parser_matches_the_full_parser(capsys, monkeypatch, fixture
     monkeypatch.setattr(cli, "_build_parser", lambda command=None: full_parser())
     code = cli.run(argv)
     assert one == (code, *capsys.readouterr())
+
+
+REQUIRED_OPTIONS = {
+    "simulate": ["--strategy", "adaptive"],
+    "simulate-noise": ["--eps", "0.1", "--delta", "0.01", "--trials", "1", "--seed", "1"],
+}
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_the_command_table_drives_every_command(capsys, monkeypatch, fixtures_dir, command):
+    help_text, scheme_arg, add_options, _ = cli.COMMANDS[command]
+    schemes = []
+
+    def build(scheme, args):
+        schemes.append(scheme)
+        return {"built": command}
+
+    monkeypatch.setitem(cli.COMMANDS, command, (help_text, scheme_arg, add_options, build))
+    document = fixtures_dir / ("s1.json" if scheme_arg else "scenario1.json")
+    code, out = run_cli(capsys, [command, str(document), *REQUIRED_OPTIONS.get(command, [])])
+    assert code == 0
+    assert out == json.dumps({"built": command}, indent=2) + "\n"
+    assert [isinstance(s, Scheme) if scheme_arg else s is None for s in schemes] == [True]
 
 
 @pytest.mark.parametrize("argv, built", [(["analyze", "{fixtures}/s1.json"], 1), (["--help"], 9)])

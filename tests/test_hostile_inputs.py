@@ -2,8 +2,8 @@
 
 Each case runs ``python -m discern.cli`` in a fresh process, with a wall
 clock timeout and an address-space limit (``RLIMIT_AS``) set on that child
-only.  Exit codes: 0 success, 2 a refused input, 3 a limit.  A case that is
-still running at its timeout is a hang.  The known hangs are strict xfails
+only.  Exit codes: 0 success, 2 a refused input, 3 a limit, 4 a property
+that fails.  A case that is still running at its timeout is a hang.  The known hangs are strict xfails
 until ROADMAP item 4's work budget ends them.
 """
 import json
@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from corpus import random_injective_scheme, table1_scheme
+from corpus import random_injective_scheme, scheme_from_profiles, table1_scheme
 from discern.scheme import serialize_scheme
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -29,13 +29,30 @@ def _table1_bad_bit() -> str:
     return json.dumps(doc, indent=2)
 
 
+def _sparse_injective(seed: int, k: int, n: int) -> str:
+    """k distinct profiles over n attributes, each bit 1 with probability 1/n."""
+    rng = random.Random(seed)
+    seen: set = set()
+    while len(seen) < k:
+        seen.add(tuple(int(rng.randrange(n) == 0) for _ in range(n)))
+    return serialize_scheme(scheme_from_profiles(sorted(seen)))
+
+
+def _random_injective(seed: int, k: int, n: int) -> str:
+    return serialize_scheme(random_injective_scheme(random.Random(seed), k, n))
+
+
 INPUTS = {
     "deep.json": lambda: "[" * 200_000 + "]" * 200_000,
     "table1.json": lambda: serialize_scheme(table1_scheme()),
     "table1-bad-bit.json": _table1_bad_bit,
-    "k64n31.json": lambda: serialize_scheme(random_injective_scheme(random.Random(31), 64, 31)),
-    "k200n17.json": lambda: serialize_scheme(random_injective_scheme(random.Random(17), 200, 17)),
-    "k20n16.json": lambda: serialize_scheme(random_injective_scheme(random.Random(16), 20, 16)),
+    "k64n31.json": lambda: _random_injective(31, 64, 31),
+    "k64n30.json": lambda: _random_injective(30, 64, 30),
+    "k64n20.json": lambda: _random_injective(20, 64, 20),
+    "k200n17.json": lambda: _random_injective(17, 200, 17),
+    "k1000n16.json": lambda: _random_injective(16, 1000, 16),
+    "k20n16.json": lambda: _random_injective(16, 20, 16),
+    "k24n20-sparse.json": lambda: _sparse_injective(3, 24, 20),
 }
 
 
@@ -48,6 +65,14 @@ def _closure_skipped(doc) -> bool:
     return len(closure) == 4 and all(c["skipped"] for c in closure)
 
 
+def _adaptive_depth(depth: int):
+    return lambda doc: [p["W"] for p in doc["points"] if p["strategy"] == "adaptive"] == [depth]
+
+
+def _closure_exchange_fails(detail: str):
+    return lambda doc: {c["name"]: c["detail"] for c in doc["checks"]}["closure-exchange"] == detail
+
+
 def _hang(reason: str):
     return pytest.mark.xfail(strict=True, raises=subprocess.TimeoutExpired, reason=f"ROADMAP item 4: {reason}")
 
@@ -56,9 +81,32 @@ def _hang(reason: str):
 CASES = [
     pytest.param(["analyze", "deep.json"], 2, 5, _error("ParseError"), id="200000-deep-json"),
     pytest.param(["analyze", "table1-bad-bit.json"], 2, 5, _error("ValidationError"), id="table1-one-bad-bit"),
+    # The exact tree search inside its k <= 24 / n <= 20 limits, on sparse profiles.
+    pytest.param(["tradeoff", "k24n20-sparse.json"], 0, 5, _adaptive_depth(14), id="tradeoff-k24n20-sparse"),
     pytest.param(["bases", "k64n31.json", "--max-n", "31"], 3, 5, _error("LimitError"), id="bases-n31"),
     pytest.param(["check", "k64n31.json", "--closure-limit", "31"], 0, 5, _closure_skipped, id="check-n31"),
+    # The 2^30-byte pair table does not fit under the address-space limit.
+    pytest.param(["bases", "k64n30.json", "--max-n", "30"], 3, 5, _error("LimitError"), id="bases-n30"),
+    pytest.param(["check", "k64n30.json", "--closure-limit", "30"], 0, 5, _closure_skipped, id="check-n30"),
+    # The closure check reads one 2^20 table by array passes; a per-subset
+    # loop would take minutes.  This seeded scheme fails closure exchange.
+    pytest.param(
+        ["check", "k64n20.json", "--closure-limit", "20"],
+        4,
+        5,
+        _closure_exchange_fails("q=8 in cl(X + {15}) \\ cl(X) but q'=15 not in cl(X + {8}) for X=[1, 2, 3, 4, 6, 7]"),
+        id="check-n20-closure-exchange",
+    ),
+    pytest.param(["dimension", "k1000n16.json"], 0, 5, lambda doc: doc["exact"] is True, id="dimension-n16-exact"),
     pytest.param(["dimension", "k200n17.json"], 0, 5, lambda doc: doc["exact"] is False, id="dimension-n17-greedy"),
+    # No repetition count below MAX_REPETITIONS meets the per-node target.
+    pytest.param(
+        ["simulate-noise", "k20n16.json", "--eps", "0.4999", "--delta", "1e-12", "--trials", "10", "--seed", "1"],
+        2,
+        5,
+        _error("ConfigError"),
+        id="simulate-noise-r-past-max-repetitions",
+    ),
     pytest.param(
         ["dimension", "table1.json", "--exact-limit", "50"],
         0,
