@@ -49,7 +49,7 @@ from .barrier import collisions
 from .errors import BarrierError, LimitError
 from .scheme import Scheme, _bit_indices
 
-EXACT_SUBSET_LIMIT = 16
+EXACT_SUBSET_LIMIT = 16  # the callers' default exact limit; no engine reads it
 
 # Largest n whose 2^n pair table is allocated (bases: two 1 GiB tables).
 SUBSET_TABLE_LIMIT = 30
@@ -117,8 +117,7 @@ def _smallest_separating_mask(profiles, n: int, exact_limit: int) -> tuple[int, 
     size is C(n, ceil(log2 g)) * g profile tests.  The table reader
     (``_table_mask``) costs n * 2^n + g^2 / 2 table cells plus g + 2n
     NumPy calls, and ``TABLE_CELLS_PER_TEST`` converts one cost into the
-    other; it runs when predicted cheaper and n <= ``EXACT_SUBSET_LIMIT``,
-    so a raised exact limit above that scans as before.
+    other; it runs when predicted cheaper.
 
     Above ``exact_limit``, one ascending drop pass gives an
     inclusion-minimal mask: the candidate only shrinks, so a kept
@@ -142,7 +141,7 @@ def _smallest_separating_mask(profiles, n: int, exact_limit: int) -> tuple[int, 
         g = len(profiles)
         first_size = max(g - 1, 0).bit_length()
         table_cells = (n << n) + g * g // 2 + (g + 2 * n) * TABLE_CELLS_PER_CALL
-        if n <= EXACT_SUBSET_LIMIT and comb(n, first_size) * g * TABLE_CELLS_PER_TEST > table_cells:
+        if comb(n, first_size) * g * TABLE_CELLS_PER_TEST > table_cells:
             return _table_mask(profiles, n), True
         # Returns by size n at the latest: all attributes separate distinct profiles.
         for size in range(first_size, n + 1):
@@ -182,14 +181,14 @@ def _table_mask(profiles, n: int) -> int:
     """The numerically first mask of least popcount that ``_pair_table``
     leaves unblocked: the scan's answer, read from the table.
 
-    The popcount of every mask is summed in n in-place passes, one per
-    bit; blocked masks are raised past n, and ``argmin`` takes the first
-    of the least.  Distinct profiles leave the full mask unblocked.
+    Read as bytes, the boolean table scores blocked masks n + 1; n in-place
+    passes add each mask's popcount (2n + 1 at most), and ``argmin`` takes
+    the first of the least.  Distinct profiles leave the full mask unblocked.
     """
-    size = np.zeros(1 << n, dtype=np.uint8)
+    size = _pair_table(profiles, n, bool).view(np.uint8)
+    size *= n + 1
     for q in range(n):
         size.reshape(-1, 2, 1 << q)[:, 1, :] += 1
-    size[_pair_table(profiles, n, bool)] = n + 1
     return int(np.argmin(size))
 
 

@@ -37,6 +37,8 @@ class NoiseConfig:
             raise ConfigError(f"epsilon must be in [0, 0.5), got {self.epsilon}")
         if not 0.0 < self.delta < 1.0:
             raise ConfigError(f"delta must be in (0, 1), got {self.delta}")
+        if math.isinf(1.0 / self.delta):
+            raise ConfigError(f"delta is too small: 1/delta overflows a float, got {self.delta}")
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
 

@@ -3,7 +3,7 @@
 Achievable points are emitted per observer strategy, the Pareto frontier
 filters dominated points, and the converse check flags any zero-distortion
 point that claims fewer tag bits than naming the classes requires on a
-colliding scheme.
+scheme whose colliding classes carry positive mass.
 """
 from __future__ import annotations
 
@@ -100,10 +100,11 @@ def pareto_frontier(points) -> tuple[TradeoffPoint, ...]:
 
 
 def converse_check(scheme: Scheme, point: TradeoffPoint) -> str:
-    """Flag zero-distortion points below the tag-rate bound on barrier schemes."""
+    """Flag zero-distortion points below the tag-rate bound on schemes whose
+    tag-free floor ``decode_distortion`` is positive: a collision with mass."""
     if collisions(scheme).injective:
         return OK
-    if point.D == 0.0 and point.L < tag_bits_for(scheme.k):
+    if point.D == 0.0 and point.L < tag_bits_for(scheme.k) and decode_distortion(scheme) > 0.0:
         return VIOLATION
     return OK
 

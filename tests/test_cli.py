@@ -351,6 +351,24 @@ def test_simulate_noise_bad_epsilon(capsys, fixtures_dir):
     assert json.loads(out)["error"]["type"] == "ConfigError"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate-noise", "s3.json", "--eps", "0.1", "--delta", "1e-320", "--trials", "10", "--seed", "1"],
+        ["simulate-noise", "s1.json", "--eps", "0.1", "--delta", "1e-320", "--trials", "10", "--seed", "1", "--tagged"],
+        ["report", "s3.json", "--seed", "1", "--delta", "1e-320"],
+    ],
+)
+def test_delta_whose_reciprocal_overflows_is_refused(capsys, fixtures_dir, argv):
+    # ln(1/delta) in the reference bound would print as Infinity, which is not JSON.
+    code, out = run_cli(capsys, [argv[0], str(fixtures_dir / argv[1]), *argv[2:]])
+    assert code == 2
+    assert json.loads(out)["error"] == {
+        "type": "ConfigError",
+        "message": "delta is too small: 1/delta overflows a float, got 1e-320",
+    }
+
+
 def test_simulate_noise_tagged(capsys, fixtures_dir):
     code, out = run_cli(
         capsys,
@@ -447,6 +465,27 @@ def test_report_sections_are_the_other_commands_documents(capsys, fixtures_dir, 
         "noise": noise["results"][0],
         "resolver": document("resolve", scenario),
     }
+
+
+def test_report_skips_the_noise_section_on_a_colliding_scheme(capsys, fixtures_dir):
+    code, out = run_cli(capsys, ["report", str(fixtures_dir / "s1.json"), "--seed", "3"])
+    assert code == 0
+    assert json.loads(out)["sections"]["noise"] == {"skipped": "noisy identification needs profile-injective classes"}
+
+
+def test_tradeoff_zero_mass_collision_has_no_violation(capsys, tmp_path):
+    path = tmp_path / "zero-mass.json"
+    path.write_text(
+        '{"attributes": ["a"], "classes": [{"name": "A", "profile": [0]}, {"name": "B", "profile": [0]}],'
+        ' "masses": [1.0, 0.0]}'
+    )
+    code, out = run_cli(capsys, ["tradeoff", str(path)])
+    assert code == 0
+    assert [(p["strategy"], p["D"], p["verdict"]) for p in json.loads(out)["converse"]] == [
+        ("nominal", 0.0, "OK"),
+        ("exhaustive", 0.0, "OK"),
+        ("adaptive", 0.0, "OK"),
+    ]
 
 
 def test_report_scenario_section(capsys, fixtures_dir):

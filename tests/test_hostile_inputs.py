@@ -50,6 +50,8 @@ INPUTS = {
     "k64n30.json": lambda: _random_injective(30, 64, 30),
     "k64n20.json": lambda: _random_injective(20, 64, 20),
     "k200n17.json": lambda: _random_injective(17, 200, 17),
+    "k1000n31.json": lambda: _random_injective(31, 1000, 31),
+    "k1000n22.json": lambda: _random_injective(22, 1000, 22),
     "k1000n16.json": lambda: _random_injective(16, 1000, 16),
     "k20n16.json": lambda: _random_injective(16, 20, 16),
     "k24n20-sparse.json": lambda: _sparse_injective(3, 24, 20),
@@ -99,6 +101,22 @@ CASES = [
     ),
     pytest.param(["dimension", "k1000n16.json"], 0, 5, lambda doc: doc["exact"] is True, id="dimension-n16-exact"),
     pytest.param(["dimension", "k200n17.json"], 0, 5, lambda doc: doc["exact"] is False, id="dimension-n17-greedy"),
+    # A raised exact limit reads the 2^n pair table where the cost model
+    # prices it below the scan; past SUBSET_TABLE_LIMIT the table refuses.
+    pytest.param(
+        ["dimension", "k1000n22.json", "--exact-limit", "22"],
+        0,
+        5,
+        lambda doc: doc == {"dimension": 16, "exact": True},
+        id="dimension-k1000n22-exact-limit-22",
+    ),
+    pytest.param(
+        ["dimension", "k1000n31.json", "--exact-limit", "31"],
+        3,
+        5,
+        _error("LimitError"),
+        id="dimension-k1000n31-exact-limit-31",
+    ),
     # No repetition count below MAX_REPETITIONS meets the per-node target.
     pytest.param(
         ["simulate-noise", "k20n16.json", "--eps", "0.4999", "--delta", "1e-12", "--trials", "10", "--seed", "1"],
@@ -140,6 +158,10 @@ def input_path(tmp_path_factory):
     return path
 
 
+def _refuse_constant(name: str):
+    raise ValueError(f"{name} is not JSON")
+
+
 def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE, ADDRESS_SPACE))
 
@@ -156,4 +178,4 @@ def test_hostile_input_ends_with_its_exit_code(input_path, argv, code, seconds, 
         preexec_fn=_limit_address_space,
     )
     assert done.returncode == code, done.stderr[-2000:]
-    assert check(json.loads(done.stdout)), done.stdout[:2000]
+    assert check(json.loads(done.stdout, parse_constant=_refuse_constant)), done.stdout[:2000]

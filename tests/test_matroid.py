@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import time
 import tracemalloc
@@ -608,10 +609,45 @@ def test_exact_mask_at_n0_and_above_the_table_limit(monkeypatch):
     reads = count_table_reads(monkeypatch)
     for profiles in ([], [0]):
         assert matroid._smallest_separating_mask(profiles, 0, 16) == literal_scan_mask(profiles, 0) == (0, True)
-    # A raised exact limit runs the scan past EXACT_SUBSET_LIMIT.
+    # A raised exact limit reads the table wherever the model prices it
+    # cheaper, here past EXACT_SUBSET_LIMIT: 4.75 M scan cells to 2.35 M.
     profiles = random.Random(17).sample(range(1 << 17), 24)
     assert matroid._smallest_separating_mask(profiles, 17, 17) == literal_scan_mask(profiles, 17)
-    assert reads == []
+    assert [n for _, n in reads] == [17]
+
+
+def table_priced_cheaper(g: int, n: int) -> bool:
+    """The cost model of ``_smallest_separating_mask``, in table cells."""
+    first_size = max(g - 1, 0).bit_length()
+    table_cells = (n << n) + g * g // 2 + (g + 2 * n) * matroid.TABLE_CELLS_PER_CALL
+    return math.comb(n, first_size) * g * matroid.TABLE_CELLS_PER_TEST > table_cells
+
+
+def planted_profiles(rng: random.Random, g: int, n: int) -> list[int]:
+    """g distinct profiles over n attributes that a planted set of
+    ceil(log2 g) attributes among the lowest few separates, so the literal
+    scan stops within a few hundred masks; the other bits are random."""
+    size = max(g - 1, 0).bit_length()
+    planted = rng.sample(range(min(n, size + 2)), size)
+    free = ((1 << n) - 1) ^ sum(1 << q for q in planted)
+    return [
+        rng.getrandbits(n) & free | sum((v >> i & 1) << q for i, q in enumerate(planted))
+        for v in rng.sample(range(1 << size), g)
+    ]
+
+
+@pytest.mark.parametrize("n", range(17, 23))
+def test_raised_exact_limit_reads_the_table_where_the_model_prices_it_cheaper(monkeypatch, n):
+    reads = count_table_reads(monkeypatch)
+    rng = random.Random(n)
+    expected_reads = 0
+    for g in (8, 16, 24, 40, rng.randint(100, 200), 1000):
+        # Random profiles where the literal scan is quick; planted ones above.
+        profiles = rng.sample(range(1 << n), g) if g <= 40 else planted_profiles(rng, g, n)
+        assert matroid._smallest_separating_mask(profiles, n, n) == literal_scan_mask(profiles, n)
+        expected_reads += table_priced_cheaper(g, n)
+        assert len(reads) == expected_reads
+    assert 0 < expected_reads < 6
 
 
 def test_exact_block_dimension_of_colliding_groups_matches_the_scan(monkeypatch):

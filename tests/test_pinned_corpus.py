@@ -114,12 +114,24 @@ def corpus_requests(where: Path):
     return requests
 
 
+def _refuse_constant(name: str):
+    raise ValueError(f"{name} is not JSON")
+
+
 def digests(where: Path) -> dict:
-    """{case id: [SHA-256 of stdout, exit code]} over the whole corpus."""
+    """{case id: [SHA-256 of stdout, exit code]} over the whole corpus.
+
+    Every stdout must also parse as strict JSON: ``NaN`` and ``Infinity``
+    are refused.
+    """
     found = {}
     for case, argv in corpus_requests(where):
         with contextlib.redirect_stdout(io.StringIO()) as out:
             code = cli.run(argv)
+        try:
+            json.loads(out.getvalue(), parse_constant=_refuse_constant)
+        except ValueError as exc:
+            raise AssertionError(f"{case}: stdout is not strict JSON: {exc}") from None
         found[case] = [hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest(), code]
     return found
 

@@ -80,6 +80,14 @@ def test_renormalize_is_explicit_only():
     assert scheme.masses == (0.75, 0.25)
 
 
+def test_renormalize_refuses_masses_summing_to_zero():
+    doc = json.loads(MINIMAL)
+    doc["masses"] = [0, 0]
+    with pytest.raises(ValidationError) as exc:
+        parse_scheme(json.dumps(doc), renormalize=True)
+    assert (exc.value.path, exc.value.message) == ("masses", "cannot renormalize masses summing to 0.0")
+
+
 @pytest.mark.parametrize("renormalize", [False, True])
 def test_empty_masses_rejected(renormalize):
     doc = json.loads(MINIMAL)
