@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import matroid
 from .barrier import collisions
 from .errors import BarrierError, LimitError
@@ -68,6 +66,7 @@ def check_closure(scheme: Scheme, limit: int = CLOSURE_CHECK_LIMIT) -> list[Chec
 
 def _closure_failures(cl, n: int) -> tuple[str | None, ...]:
     """The detail of each property's first failure on the table, or None."""
+    import numpy as np
 
     def first(bad) -> int | None:
         """The least X, in flat order, where ``bad`` is nonzero."""

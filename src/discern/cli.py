@@ -2,7 +2,8 @@
 
 JSON on stdout is the machine interface; ``--pretty`` renders tables for
 humans.  Exit codes: 0 success, 1 usage, 2 parse/validation error,
-3 size limit exceeded, 4 property violation found by ``check``.
+3 size limit exceeded (memory exhausted included), 4 property violation
+found by ``check``.
 
 Every command is one entry of ``COMMANDS``: its help, its options and
 the function that builds its document from the scheme and the parsed
@@ -17,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import hashlib
 import json
 import sys
 
@@ -189,6 +189,7 @@ def _check_doc(scheme: Scheme, args) -> dict:
 
 
 def scheme_digest(scheme: Scheme) -> str:
+    import hashlib
     return hashlib.sha256(serialize_scheme(scheme).encode("utf-8")).hexdigest()
 
 
@@ -367,6 +368,8 @@ def run(argv) -> int:
         doc, code, csv_text = _error_doc(exc), DATA_EXIT, None
     except LimitError as exc:
         doc, code, csv_text = _error_doc(exc), LIMIT_EXIT, None
+    except MemoryError:  # an allocation that fails is a size limit too, never a traceback
+        doc, code, csv_text = _error_doc(LimitError("ran out of memory building the document")), LIMIT_EXIT, None
     else:
         code = VIOLATION_EXIT if doc.get("ok") is False else 0
         csv_text = _csv(doc[args.csv_rows], args.csv_fields) if getattr(args, "csv", None) else None

@@ -42,13 +42,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .barrier import collisions
 from .errors import BarrierError, LimitError
 from .scheme import Scheme, _bit_indices
 
+if TYPE_CHECKING:
+    import numpy as np
 EXACT_SUBSET_LIMIT = 16  # the callers' default exact limit; no engine reads it
 
 # Largest n whose 2^n pair table is allocated (bases: two 1 GiB tables).
@@ -185,11 +186,11 @@ def _table_mask(profiles, n: int) -> int:
     passes add each mask's popcount (2n + 1 at most), and ``argmin`` takes
     the first of the least.  Distinct profiles leave the full mask unblocked.
     """
-    size = _pair_table(profiles, n, bool).view(np.uint8)
+    size = _pair_table(profiles, n, bool).view("uint8")
     size *= n + 1
     for q in range(n):
         size.reshape(-1, 2, 1 << q)[:, 1, :] += 1
-    return int(np.argmin(size))
+    return int(size.argmin())
 
 
 def x_equivalent(scheme: Scheme, X, c1: int, c2: int) -> bool:
@@ -218,6 +219,7 @@ def closure_table(scheme: Scheme) -> np.ndarray:
     q is in cl(X) iff no two classes that agree on X differ at q, i.e. iff
     q is outside the OR of the disagreements of every pair agreeing on X.
     """
+    import numpy as np
     full = (1 << scheme.n) - 1
     table = _pair_table(scheme.profile_ints, scheme.n, np.min_scalar_type(full))
     table ^= full  # in place: the varying attributes all lie within full
@@ -247,6 +249,7 @@ def _pair_table(profile_ints, n: int, dtype) -> np.ndarray:
     """
     if n > SUBSET_TABLE_LIMIT:
         raise LimitError(f"subset table limited to n <= {SUBSET_TABLE_LIMIT}, scheme has n={n}")
+    import numpy as np
     try:
         table = np.zeros(1 << n, dtype=dtype)
     except MemoryError:
@@ -275,6 +278,7 @@ def _base_masks(profile_ints, n: int) -> tuple[list[int], tuple[int, int, int] |
     Exchange fails for (B1, q) iff some base avoids q and N, i.e. iff the
     attributes outside N + {q} still distinguish: one ``blocked`` lookup.
     """
+    import numpy as np
     blocked = _pair_table(profile_ints, n, bool)
     full = (1 << n) - 1
     try:

@@ -13,8 +13,6 @@ import bisect
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .barrier import collisions
 from .errors import BarrierError, ConfigError
 from .scheme import Scheme
@@ -124,6 +122,7 @@ def simulate_noisy_identification(scheme: Scheme, cfg: NoiseConfig) -> NoiseResu
     which moves to the child of the true bit, inverted when the uniform is
     below ``majority_error(reps, epsilon)``, the exact chance of a wrong majority.
     """
+    import numpy as np
     if not collisions(scheme).injective:
         raise BarrierError("noisy identification needs profile-injective classes")
     tree = adaptive_tree(scheme)

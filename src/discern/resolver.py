@@ -11,12 +11,9 @@ listings; a config entry holding 0 is skipped, not returned.
 """
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 
 from .errors import ParseError, decode_json, expect, expect_each
-
-logger = logging.getLogger(__name__)
 
 Registry = dict
 
@@ -82,7 +79,8 @@ def resolve(scenario: ResolveScenario, trace: list | None = None, strict: bool =
     if not well_formed(scenario.registry):
         if strict:
             raise ValueError("registry is not well-formed: some target is itself mapped")
-        logger.warning("registry is not well-formed; normalization may not be idempotent")
+        import logging
+        logging.getLogger(__name__).warning("registry is not well-formed; normalization may not be idempotent")
     for scope in scenario.scopes:
         for mro_type in scenario.mro:
             norm_type = normalize(scenario.registry, mro_type)

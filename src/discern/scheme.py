@@ -17,12 +17,14 @@ from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import chain
 from operator import itemgetter
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import ValidationError, decode_json, expect, expect_each
 
+if TYPE_CHECKING:
+    import numpy as np
 MASS_SUM_TOLERANCE = 1e-9
+_DIGITS = bytes.maketrans(b"\0\1", b"01")  # 0/1 answer bytes as base-2 digits
 
 
 @dataclass(frozen=True)
@@ -135,18 +137,26 @@ class Scheme:
 
     @cached_property
     def bits(self) -> np.ndarray:
-        """Read-only k x n boolean view of ``answers``."""
+        """Read-only k x n boolean view of ``answers``; loads NumPy on first use."""
+        import numpy as np
         return np.frombuffer(self.answers, dtype=bool).reshape(self.k, self.n)
 
+    # Both packings read ``answers`` as base-2 digits, most significant bit
+    # first, so attribute 0 and class 0 come last; the leading b"0" reads an
+    # empty row (n = 0) or column (k = 0) as 0.
     @cached_property
     def profile_ints(self) -> tuple[int, ...]:
         """Per-class packed profiles (attribute q in bit q)."""
-        return _pack_rows(self.bits)
+        digits, n = self.answers.translate(_DIGITS), self.n
+        return tuple(int(b"0" + digits[c * n:(c + 1) * n][::-1], 2) for c in range(self.k))
 
     @cached_property
     def column_masks(self) -> tuple[int, ...]:
         """Per-attribute bitmask over classes (class c in bit c)."""
-        return _pack_rows(self.bits.T)
+        # Reversed, the answers run from the last class back to class 0, and
+        # column j's digits lie n apart from offset n - 1 - j.
+        digits, n = self.answers.translate(_DIGITS)[::-1], self.n
+        return tuple(int(b"0" + digits[n - 1 - j::n], 2) for j in range(n))
 
     @cached_property
     def quotient(self) -> tuple[tuple[int, ...], ...]:
@@ -169,12 +179,6 @@ class Scheme:
             return self.class_names.index(class_name)
         except ValueError:
             raise KeyError(class_name) from None
-
-
-def _pack_rows(matrix: np.ndarray) -> tuple[int, ...]:
-    """Each row of a boolean matrix as an integer, column j in bit j."""
-    packed = np.packbits(matrix, axis=1, bitorder="little")
-    return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
 
 
 def _bit_indices(mask: int) -> tuple[int, ...]:

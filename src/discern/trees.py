@@ -27,8 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-import numpy as np
-
 from .errors import LimitError
 from .scheme import Scheme, _bit_indices
 
@@ -210,6 +208,7 @@ def _most_balanced_splits(scheme: Scheme, start: int) -> dict[int, int | None]:
     sides) in all.  A level lists the smaller children in their parents'
     order, then the larger ones.
     """
+    import numpy as np
     columns, bits = scheme.column_masks, scheme.bits
     split: dict[int, int | None] = {start: None}  # with no attribute the root is a leaf
     masks = [start] if scheme.n else []

@@ -659,6 +659,69 @@ def test_lazy_resolve_of_an_ill_formed_registry_warns_once(capsys, tmp_path):
     assert done.stderr.count("registry is not well-formed") == 1
 
 
+@pytest.mark.parametrize("fails", ["loading", "building"])
+def test_running_out_of_memory_is_a_limit_error(capsys, monkeypatch, fixtures_dir, fails):
+    def out_of_memory(*args):
+        raise MemoryError
+
+    if fails == "loading":
+        monkeypatch.setattr(cli, "load_scheme", out_of_memory)
+    else:
+        help_text, scheme_arg, add_options, _ = cli.COMMANDS["tradeoff"]
+        monkeypatch.setitem(cli.COMMANDS, "tradeoff", (help_text, scheme_arg, add_options, out_of_memory))
+    code, out = run_cli(capsys, ["tradeoff", str(fixtures_dir / "s2.json")])
+    assert code == cli.LIMIT_EXIT == 3
+    assert json.loads(out)["error"]["type"] == "LimitError"
+
+
+# Run in a fresh interpreter: which of these modules ``import discern.cli``
+# loads itself, the exit code, and whether the command then loaded NumPy.
+START_UP_PROBE = (
+    "import json, sys; before = set(sys.modules); from discern import cli; "
+    "loaded = sorted({'numpy', 'hashlib', 'logging'} & set(sys.modules) - before); "
+    "code = cli.run(sys.argv[1:]); "
+    "print(json.dumps([loaded, code, 'numpy' in sys.modules]), file=sys.stderr)"
+)
+
+
+@pytest.fixture(scope="module")
+def table1_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("start_up") / "table1.json"
+    path.write_text(serialize_scheme(table1_scheme()))
+    return path
+
+
+@pytest.mark.parametrize(
+    "argv, expected_code, loads_numpy",
+    [
+        (["analyze", "{fixtures}/s1.json"], 0, False),
+        (["dimension", "{fixtures}/s1.json"], 2, False),  # colliding: a BarrierError document
+        (["analyze", "{table1}"], 0, False),
+        (["dimension", "{table1}"], 0, False),
+        (["resolve", "{fixtures}/scenario1.json"], 0, False),
+        (["simulate", "{table1}", "--strategy", "nominal"], 0, False),
+        (["tradeoff", "{fixtures}/s2.json"], 0, False),  # exact trees only
+        (["tradeoff", "{table1}"], 0, True),  # the greedy tree's level arrays
+    ],
+    ids=lambda value: " ".join(value) if isinstance(value, list) else None,
+)
+def test_start_up_loads_numpy_only_for_array_work(
+    capsys, fixtures_dir, table1_path, argv, expected_code, loads_numpy
+):
+    argv = [a.format(fixtures=fixtures_dir, table1=table1_path) for a in argv]
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", START_UP_PROBE, *argv],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=60,
+    )
+    loaded, code, numpy_loaded = json.loads(done.stderr.splitlines()[-1])
+    assert loaded == []
+    assert (code, numpy_loaded) == (expected_code, loads_numpy)
+    # The same bytes as in-process, where ``test_golden_outputs`` pins the
+    # fixture cases to their golden files.
+    assert (code, done.stdout) == run_cli(capsys, argv)
+
+
 def test_byte_identical_reruns(capsys, fixtures_dir):
     first = run_cli(capsys, ["tradeoff", str(fixtures_dir / "s3.json")])
     second = run_cli(capsys, ["tradeoff", str(fixtures_dir / "s3.json")])

@@ -1,3 +1,4 @@
+import logging
 import random
 
 import pytest
@@ -124,6 +125,16 @@ def test_strict_mode_rejects_ill_formed():
     assert resolve(scenario) is None  # warn-only by default
     with pytest.raises(ValueError):
         resolve(scenario, strict=True)
+
+
+def test_ill_formed_registry_logs_one_warning(caplog, hit_scenario):
+    ill_formed = ResolveScenario(registry={2: 1, 1: 3}, mro=[2], scopes=["s0"], ctx={"s0": [ConfigInstance(1, 5)]})
+    with caplog.at_level(logging.WARNING, logger="discern.resolver"):
+        resolve(hit_scenario)
+        assert caplog.records == []
+        resolve(ill_formed)
+    assert [(r.name, r.levelno) for r in caplog.records] == [("discern.resolver", logging.WARNING)]
+    assert "not well-formed" in caplog.records[0].getMessage()
 
 
 def test_provenance_distinguishes_equal_values():
