@@ -95,10 +95,10 @@ class Scheme:
         if len(masses) != len(names):
             raise ValidationError(f"got {len(masses)} masses for {len(names)} classes", "masses")
         for i, m in enumerate(masses):
-            if not m >= 0:  # NaN fails too
+            if not _float_mass(m, i) >= 0:  # NaN fails too
                 raise ValidationError(f"mass must be nonnegative, got {m}", f"masses[{i}]")
         total = sum(masses)
-        if not abs(total - 1.0) <= MASS_SUM_TOLERANCE:
+        if not abs(total - 1) <= MASS_SUM_TOLERANCE:  # an integer total is compared exactly
             raise ValidationError(f"masses sum to {total}, expected 1", "masses")
         self.__dict__.update(attributes=attributes, class_names=names, answers=answers, masses=masses)
 
@@ -245,6 +245,14 @@ def _records(entries: list) -> tuple[ClassRecord, ...]:
     return tuple(records)
 
 
+def _float_mass(m, i: int) -> float:
+    """Mass ``m`` as a float; an integer too large for one is refused at ``masses[i]``."""
+    try:
+        return float(m)
+    except OverflowError:
+        raise ValidationError("mass does not fit in a float", f"masses[{i}]") from None
+
+
 def parse_scheme(text: str, renormalize: bool = False) -> Scheme:
     """Parse and validate a scheme document.
 
@@ -275,7 +283,7 @@ def parse_scheme(text: str, renormalize: bool = False) -> Scheme:
         raw_masses = doc["masses"]
         expect(isinstance(raw_masses, list), "must be an array", "masses")
         expect_each(raw_masses, (int, float), "mass must be a number", "masses")
-        masses = tuple(float(m) for m in raw_masses)
+        masses = tuple(_float_mass(m, i) for i, m in enumerate(raw_masses))
         if renormalize and masses:
             total = sum(masses)
             if total <= 0:

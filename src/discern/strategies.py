@@ -83,30 +83,13 @@ def _profile_units(scheme: Scheme) -> list[tuple[int, ...]]:
     return sorted(scheme.quotient, key=lambda b: scheme.row(b[0]))
 
 
-def _group_dimension(scheme: Scheme, units, dim_cache: dict) -> int:
-    """``block_dimension`` of the classes in ``units``, computed once per
-    ``dim_cache``.  A group of at most one class needs no query."""
-    members = frozenset(c for unit in units for c in unit)
-    if len(members) <= 1:
-        return 0
-    if members not in dim_cache:
-        dim_cache[members] = matroid.block_dimension(scheme, members)
-    return dim_cache[members]
+def _units_dimension(scheme: Scheme, units) -> int:
+    """``block_dimension`` of the classes in ``units``; one class needs no query."""
+    members = [c for unit in units for c in unit]
+    return matroid.block_dimension(scheme, members) if len(members) > 1 else 0
 
 
-def _trial_moves(groups: list[list[tuple[int, ...]]]):
-    """Trial moves ``(src, unit, dst)`` in search order.  The units of
-    ``src`` are read when the search reaches ``src``."""
-    for src in range(len(groups)):
-        for unit in list(groups[src]):
-            for dst in range(len(groups)):
-                if dst != src:
-                    yield src, unit, dst
-
-
-def tag_partition(
-    scheme: Scheme, tag_bits: int, dim_cache: dict | None = None
-) -> tuple[tuple[int, ...], ...]:
+def tag_partition(scheme: Scheme, tag_bits: int) -> tuple[tuple[int, ...], ...]:
     """Deterministic partition of classes into at most 2**tag_bits groups.
 
     With enough bits to name every class the groups are singletons.  With
@@ -115,9 +98,9 @@ def tag_partition(
     profile, fill min(2**tag_bits, units) groups in order: a group closes
     once the classes placed so far reach its cumulative share of k, or
     when one unit is left per later group.  A move-based local search then
-    balances the per-group distinguishing dimension.  It keeps the block
-    dimension of every member set of two or more classes it evaluates in
-    ``dim_cache`` (a fresh dict if none is given), the final groups' too.
+    balances the per-group distinguishing dimension.  It keeps one block
+    dimension per current group; a trial group's dimension is kept only
+    while its move is decided.
 
     A trial move of one unit from ``src`` to ``dst`` is accepted iff every
     group then sits below the objective (the largest group dimension
@@ -126,17 +109,18 @@ def tag_partition(
     n moves.  Three rules skip evaluations on the way to each verdict:
     the move is rejected without evaluating anything when a group other
     than ``src`` and ``dst`` already sits at the objective; the shrunken
-    ``src`` is evaluated before the grown ``dst``; and ``dst`` is rejected
-    unevaluated when ceil(log2 D) of its D distinct profiles (one per unit)
-    reaches the objective, since no mask of fewer bits separates D
-    profiles, exact or greedy.  Each rule only skips evaluations whose
-    result could not make the move win, so every decision, and the
-    partition, is the one a full evaluation of all groups would give.
-    A rejected move still puts the unit back at the end of ``src``.  No
-    group is emptied: a one-unit group has dimension 0, so its unit leaves
-    only for a ``dst`` that is the sole group at the objective and falls
-    below it by growing.  An exact dimension (n <= 16) never falls by
-    growing; a greedy one could, and a seeded-corpus test guards that.
+    ``src`` is evaluated once per unit and pass, before any grown ``dst``; and
+    ``dst`` is rejected unevaluated when ceil(log2 D) of its D distinct
+    profiles (one per unit) reaches the objective, since no mask of fewer
+    bits separates D profiles, exact or greedy.  Each rule only skips
+    evaluations whose result could not make the move win, so every
+    decision, and the partition, is the one a full evaluation of all
+    groups would give.  A rejected unit goes back to the end of ``src``,
+    the order in which a later pass tries it.  No group is emptied: a
+    one-unit group has dimension 0, so its unit leaves only for a ``dst``
+    that is the sole group at the objective and falls below it by
+    growing.  An exact dimension (n <= 16) never falls by growing; a
+    greedy one could, and a seeded-corpus test guards that.
     """
     if tag_bits < 0:
         raise ValueError("tag bits must be >= 0")
@@ -155,32 +139,30 @@ def tag_partition(
         if later and (placed >= (filled + 1) * k // block_count or len(units) - i == later):
             filled += 1
 
-    if dim_cache is None:
-        dim_cache = {}
-
-    def accept(move) -> bool:
-        """Apply ``move`` and keep it iff every group then sits below this
-        pass's objective."""
-        src, unit, dst = move
-        groups[src].remove(unit)
-        groups[dst].append(unit)
-        if (
-            at_objective == (dims[src] == objective) + (dims[dst] == objective)
-            and _group_dimension(scheme, groups[src], dim_cache) < objective
-            and (len(groups[dst]) - 1).bit_length() < objective
-            and _group_dimension(scheme, groups[dst], dim_cache) < objective
-        ):
-            return True
-        groups[dst].remove(unit)
-        groups[src].append(unit)
+    def move_once() -> bool:
+        """Make the first trial move that leaves every group below the
+        objective; False when there is none."""
+        objective = max(dims)
+        for src, group in enumerate(groups):
+            # A move can win only if no group but src and dst sits at the objective.
+            besides = dims.count(objective) - (dims[src] == objective)
+            targets = [dst for dst, dim in enumerate(dims) if dst != src and (dim == objective) == besides]
+            for unit in list(group) if targets else ():  # a full turn of the units keeps their order
+                group.remove(unit)
+                shrunk = _units_dimension(scheme, group)
+                for dst in targets if shrunk < objective else ():
+                    grown = [*groups[dst], unit]
+                    if (len(grown) - 1).bit_length() < objective:
+                        grown_dim = _units_dimension(scheme, grown)
+                        if grown_dim < objective:
+                            groups[dst], dims[src], dims[dst] = grown, shrunk, grown_dim
+                            return True
+                group.append(unit)
         return False
 
-    while True:
-        dims = [_group_dimension(scheme, g, dim_cache) for g in groups]
-        objective = max(dims)
-        at_objective = dims.count(objective)
-        if not any(accept(move) for move in _trial_moves(groups)):
-            break
+    dims = [_units_dimension(scheme, g) for g in groups]
+    while move_once():
+        pass
 
     final = [sorted(c for unit in g for c in unit) for g in groups if g]
     return tuple(tuple(g) for g in sorted(final, key=lambda g: g[0]))
@@ -221,12 +203,20 @@ def hybrid_tag_plan(scheme: Scheme, L: int) -> TagPlan:
     Classes sharing a profile are never split across groups, so any
     residual collision keeps its group's distortion positive.  For small
     instances (k <= 10, 2**L <= 4) an exhaustive partition search runs as
-    a reference and both values are reported.  Both searches and the
-    plan's own dimension share one block-dimension cache.
+    a reference and both values are reported.  The plan's group dimensions
+    are read again after the search, into one memo keyed by member set
+    that the exhaustive reference shares.
     """
-    dim_cache: dict[frozenset, int] = {}
-    groups = tag_partition(scheme, L, dim_cache=dim_cache)
-    plan_dim = max(_group_dimension(scheme, [g], dim_cache) for g in groups)
+    groups = tag_partition(scheme, L)
+    memo: dict[frozenset, int] = {}
+
+    def dimension(units) -> int:
+        members = frozenset(c for unit in units for c in unit)
+        if members not in memo:
+            memo[members] = _units_dimension(scheme, units)
+        return memo[members]
+
+    plan_dim = max(dimension([g]) for g in groups)
     exhaustive_dim = None
     if (
         L < tag_bits_for(scheme.k)
@@ -234,7 +224,7 @@ def hybrid_tag_plan(scheme: Scheme, L: int) -> TagPlan:
         and (1 << L) <= EXHAUSTIVE_PARTITION_BLOCK_LIMIT
     ):
         exhaustive_dim = min(
-            max(_group_dimension(scheme, g, dim_cache) for g in partition)
+            max(dimension(g) for g in partition)
             for partition in _unit_partitions(_profile_units(scheme), 1 << L)
         )
     return TagPlan(

@@ -226,6 +226,18 @@ def test_nan_mass_is_a_validation_error(capsys, tmp_path):
     }
 
 
+def test_mass_too_large_for_a_float_is_a_validation_error(capsys, tmp_path):
+    # An integer literal past the float range, not a traceback (exit 1).
+    path = tmp_path / "huge_mass.json"
+    path.write_text('{"attributes": ["p"], "classes": [{"name": "A", "profile": [0]}, '
+                    '{"name": "B", "profile": [1]}], "masses": [0, 1%s]}' % ("0" * 400))
+    code, out = run_cli(capsys, ["analyze", str(path)])
+    assert code == 2
+    assert json.loads(out)["error"] == {
+        "type": "ValidationError", "message": "masses[1]: mass does not fit in a float"
+    }
+
+
 def test_empty_masses_are_a_validation_error(capsys, tmp_path):
     # An explicit empty array is a count fault, not "no masses given".
     path = tmp_path / "empty_masses.json"

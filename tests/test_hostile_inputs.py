@@ -46,6 +46,10 @@ INPUTS = {
     "deep.json": lambda: "[" * 200_000 + "]" * 200_000,
     "table1.json": lambda: serialize_scheme(table1_scheme()),
     "table1-bad-bit.json": _table1_bad_bit,
+    "huge-mass.json": lambda: (
+        '{"attributes": ["a"], "classes": [{"name": "A", "profile": [0]}, '
+        '{"name": "B", "profile": [1]}], "masses": [1%s, 0]}' % ("0" * 400)
+    ),
     "k64n31.json": lambda: _random_injective(31, 64, 31),
     "k64n30.json": lambda: _random_injective(30, 64, 30),
     "k64n20.json": lambda: _random_injective(20, 64, 20),
@@ -83,6 +87,7 @@ def _hang(reason: str):
 CASES = [
     pytest.param(["analyze", "deep.json"], 2, 5, _error("ParseError"), id="200000-deep-json"),
     pytest.param(["analyze", "table1-bad-bit.json"], 2, 5, _error("ValidationError"), id="table1-one-bad-bit"),
+    pytest.param(["analyze", "huge-mass.json"], 2, 5, _error("ValidationError"), id="mass-past-float-range"),
     # The exact tree search inside its k <= 24 / n <= 20 limits, on sparse profiles.
     pytest.param(["tradeoff", "k24n20-sparse.json"], 0, 5, _adaptive_depth(14), id="tradeoff-k24n20-sparse"),
     pytest.param(["bases", "k64n31.json", "--max-n", "31"], 3, 5, _error("LimitError"), id="bases-n31"),

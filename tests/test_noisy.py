@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from corpus import random_injective_scheme, scheme_from_profiles, table1_scheme
+from discern.barrier import collisions
 from discern.errors import BarrierError, ConfigError
 from discern.noisy import (
     BLOCK_TRIALS,
@@ -20,6 +21,7 @@ from discern.noisy import (
     simulate_tagged,
 )
 from discern.trees import adaptive_tree, walk
+from test_pinned_corpus import corpus_schemes
 
 
 def bernoulli_walk(scheme, cfg):
@@ -372,3 +374,52 @@ def test_repetitions_near_half_are_fast():
     assert str(excinfo.value) == (
         "no feasible repetition count below 10000001 for epsilon=0.49999, per-node target=0.001"
     )
+
+
+def exact_noise_expectation(scheme, epsilon, delta):
+    """Reference: the noise walk's repetition count r, its exact error
+    probability and its exact expected queries per trial.
+
+    With p = majority_error(r, epsilon), a wrong majority at any node on
+    class c's path sends the walk into a subtree without c's leaf, so
+    P(error) = sum_c m_c (1 - (1 - p)^depth(c)).  The expected queries are
+    r times the internal nodes visited, each weighted by every class's
+    chance to reach it: 1 - p into the child of its own bit, p into the
+    other."""
+    tree = adaptive_tree(scheme)
+    r = repetitions_for(epsilon, delta / tree.depth)
+    p = majority_error(r, epsilon)
+    masses = np.asarray(scheme.masses) / sum(scheme.masses)
+    error = visits = 0.0
+    stack = [(0, np.ones(scheme.k), 0)]  # node, each class's chance to reach it, its depth
+    while stack:
+        node, reach, depth = stack.pop()
+        if tree.candidates[node] is not None:
+            error += masses[tree.candidates[node][0]] * (1 - (1 - p) ** depth)
+            continue
+        visits += masses @ reach
+        to_one = np.where(scheme.bits[:, tree.attribute[node]], 1 - p, p)
+        first = tree.first_child[node]
+        stack += [(first, reach * (1 - to_one), depth + 1), (first + 1, reach * to_one, depth + 1)]
+    return r, error, r * visits
+
+
+@pytest.mark.parametrize("epsilon", [0.05, 0.45])
+def test_noise_walk_matches_its_exact_expectation(epsilon):
+    # Two-sided, so a walk that errs too rarely or takes too few queries
+    # fails too.  For any seed each bound fails with a chance of about
+    # 1e-9: 6 binomial standard errors for the error rate, and Hoeffding's
+    # inequality for the mean queries, since one trial's queries lie in
+    # [r, r * depth].
+    trials, delta = 100_000, 0.1
+    schemes = [s for _, s in corpus_schemes() if collisions(s).injective]
+    assert len(schemes) >= 5
+    for i, scheme in enumerate([*schemes, table1_scheme()]):
+        r, error, queries = exact_noise_expectation(scheme, epsilon, delta)
+        result = simulate_noisy_identification(scheme, NoiseConfig(epsilon, delta, trials, i))
+        assert result.repetitions == r
+        assert 0 < error <= delta
+        standard_error = math.sqrt(error * (1 - error) / trials)
+        assert abs(result.empirical_error - error) <= 6 * standard_error, (i, result, error)
+        spread = r * (result.tree_depth - 1) * math.sqrt(math.log(2 / 1e-9) / (2 * trials))
+        assert abs(result.mean_queries - queries) <= spread, (i, result, queries)

@@ -502,6 +502,28 @@ def test_tag_partition_is_a_partition():
         assert members == list(range(scheme.k))
 
 
+def test_tag_partition_keeps_no_trial_groups():
+    # Only the current groups' dimensions are kept, not the member set of
+    # every trial group evaluated (about k/2 classes each).
+    scheme = random_injective_scheme(random.Random(5), 300, 50)
+    scheme.profile_ints, scheme.quotient  # the scheme's own caches are not the search's
+    tracemalloc.start()
+    try:
+        tag_partition(scheme, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**19, peak
+
+
+def test_plan_dimension_is_the_largest_group_dimension():
+    for scheme in seeded_schemes(64, 60, with_masses=True):
+        for L in range(tag_bits_for(scheme.k) + 1):
+            plan = hybrid_tag_plan(scheme, L)
+            expected = max(matroid.block_dimension(scheme, g) for g in plan.groups)
+            assert plan.max_group_dimension == expected, (scheme.k, L)
+
+
 def test_hybrid_full_tags_everywhere():
     rng = random.Random(28)
     for _ in range(15):

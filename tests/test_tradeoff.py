@@ -1,6 +1,7 @@
 import random
 import sys
 import time
+from collections import Counter
 
 import pytest
 
@@ -11,7 +12,7 @@ from corpus import (
     scheme_from_profiles,
     table1_scheme,
 )
-from discern import matroid
+from discern import matroid, strategies
 from discern.errors import BarrierError, EmptyInputError
 from discern.matroid import distinguishing_dimension
 from discern.strategies import StrategyDescriptor, tag_bits_for
@@ -182,12 +183,14 @@ def test_plan_computes_each_group_dimension_once(monkeypatch):
     scheme = random_injective_scheme(random.Random(36), 20, 16)
     expected = [hybrid_tag_plan(scheme, L) for L in (1, 2, 3)]
     calls = block_dimension_calls(monkeypatch)
-    # The search evaluates only trial groups that can decide a move.
+    # The search evaluates only trial groups that can decide a move, and
+    # the plan reads each final group of two or more classes once more.
     for L, plan, count in zip((1, 2, 3), expected, (22, 4, 8)):
         calls.clear()
         assert hybrid_tag_plan(scheme, L) == plan
-        assert len(calls) == len(set(calls)) == count
-        assert set(map(frozenset, plan.groups)) <= set(calls)
+        assert len(set(calls)) == count
+        final = Counter(frozenset(g) for g in plan.groups if len(g) > 1)
+        assert Counter(calls) - Counter(set(calls)) == final
 
 
 def test_table1_hybrid_points_within_the_criterion_1_budget():
@@ -215,12 +218,22 @@ def test_full_width_plan_makes_no_dimension_call(monkeypatch):
 def test_exhaustive_reference_shares_the_plan_dimensions(monkeypatch):
     rng = random.Random(37)
     calls = block_dimension_calls(monkeypatch)
+    searched = []
+    search = strategies.tag_partition
+
+    def recording_search(*args):
+        groups = search(*args)
+        searched.append(len(calls))
+        return groups
+
+    monkeypatch.setattr(strategies, "tag_partition", recording_search)
     for _ in range(20):
         scheme = random_scheme(rng, rng.randint(3, 8), rng.randint(1, 5))
         for L in (1, 2):
             calls.clear()
             hybrid_tag_plan(scheme, L)
-            assert len(calls) == len(set(calls))
+            plan_calls = calls[searched[-1]:]
+            assert len(plan_calls) == len(set(plan_calls))
 
 
 def walk_limited(scheme, tree, class_index, budget):
