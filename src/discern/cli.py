@@ -224,15 +224,13 @@ def _render_pretty(doc, indent: str = "") -> str:
                 lines.append(_render_pretty(value, indent + "  "))
             else:
                 lines.append(f"{indent}{key}: {value}")
-    elif isinstance(doc, list):
+    else:  # a list: every document is a dict, and only dicts and lists recurse
         for value in doc:
             if isinstance(value, (dict, list)):
                 lines.append(f"{indent}-")
                 lines.append(_render_pretty(value, indent + "  "))
             else:
                 lines.append(f"{indent}- {value}")
-    else:
-        lines.append(f"{indent}{doc}")
     return "\n".join(line for line in lines if line)
 
 

@@ -4,11 +4,12 @@ A scheme is k named classes over n binary attributes, plus an optional
 probability mass per class.  Every analysis in this package consumes a
 validated, immutable ``Scheme``: its attribute and class names, one k x n
 ``bytes`` of 0/1 answers and its masses.  Each rule lives in one place:
-``parse_scheme`` checks the JSON shape and proves a well-formed document's
-bits by whole-document passes (any other document is checked entry by
-entry), ``Profile`` checks a record's bits, and ``Scheme`` checks lengths,
-names, masses and class indices.  ``ClassRecord``/``Profile`` records are
-a derived view, built on first use of ``Scheme.classes``.
+``parse_scheme`` checks the JSON shape, proves a document's bits by
+whole-document passes and builds every scheme one way; only a document
+they refuse is walked entry by entry, for its first fault.  ``Profile``
+checks a record's bits, and ``Scheme`` checks names, lengths, masses and
+class indices.  ``ClassRecord``/``Profile`` records are a derived view,
+built on first use of ``Scheme.classes``.
 """
 from __future__ import annotations
 
@@ -59,10 +60,12 @@ class ClassRecord:
 class Scheme:
     """k classes over n binary attributes with per-class probability mass.
 
-    ``Scheme(attributes, classes, masses=None)`` takes ``ClassRecord``s;
-    ``masses=None`` means uniform 1/k; given masses need one entry per
-    class.  Immutable after construction; all package operations are pure
-    functions of a scheme, so instances are safe to share across threads.
+    ``Scheme(attributes, classes, masses=None)`` takes iterables, the
+    classes as ``ClassRecord``s, and stores tuples; ``masses=None`` means
+    uniform 1/k.  As in a document, names are strings and masses numbers
+    (not bools), one per class.  Immutable after construction; all package
+    operations are pure functions of a scheme, so instances are safe to
+    share across threads.
     """
 
     attributes: tuple[str, ...]
@@ -77,12 +80,19 @@ class Scheme:
         self._validate(attributes, names, answers, masses, [len(c.profile) for c in classes])
         self.__dict__["classes"] = classes
 
-    def _validate(self, attributes, names, answers, masses, profile_lengths=()):
+    def _validate(self, attributes, names, answers, masses, profile_lengths):
         """Check the scheme rules in their fixed order, then store the fields."""
+        attributes = tuple(attributes)
         if len(names) < 1:
             raise ValidationError("scheme needs at least one class", "classes")
+        for i, name in enumerate(attributes):
+            if not isinstance(name, str):
+                raise ValidationError("attribute name must be a string", f"attributes[{i}]")
         if len(set(attributes)) != len(attributes):
             raise ValidationError("attribute names must be unique", "attributes")
+        for i, name in enumerate(names):
+            if not isinstance(name, str):
+                raise ValidationError("class name must be a string", f"classes[{i}].name")
         if len(set(names)) != len(names):
             dup = next(name for i, name in enumerate(names) if name in names[:i])
             raise ValidationError(f"duplicate class name {dup!r}", "classes")
@@ -90,10 +100,13 @@ class Scheme:
         for i, length in enumerate(profile_lengths):
             if length != n:
                 raise ValidationError(f"profile has length {length}, expected {n}", f"classes[{i}].profile")
-        if masses is None:
-            masses = tuple(1.0 / len(names) for _ in names)
+        masses = tuple(1.0 / len(names) for _ in names) if masses is None else tuple(masses)
         if len(masses) != len(names):
             raise ValidationError(f"got {len(masses)} masses for {len(names)} classes", "masses")
+        if not {*map(type, masses)} <= {float}:  # plain floats pass in one C-speed set check
+            for i, m in enumerate(masses):
+                if isinstance(m, bool) or not isinstance(m, (int, float)):
+                    raise ValidationError("mass must be a number", f"masses[{i}]")
         for i, m in enumerate(masses):
             if not _float_mass(m, i) >= 0:  # NaN fails too
                 raise ValidationError(f"mass must be nonnegative, got {m}", f"masses[{i}]")
@@ -199,35 +212,25 @@ def profile_of(scheme: Scheme, class_index: int) -> Profile:
     return scheme.classes[scheme.check_class(class_index)].profile
 
 
-def _answers(entries: list, n: int) -> tuple[tuple[str, ...], bytes] | None:
-    """Class names and 0/1 answers of well-formed class entries, proven by
-    a few whole-document passes; None when any entry needs the per-entry
-    checks, which then find and report its first fault."""
-    if not {*map(type, entries)} <= {dict}:
-        return None
+def _classes(entries: list) -> tuple[tuple[str, ...], bytes, list[int]]:
+    """Class names, 0/1 answers and profile lengths of the class entries,
+    proven well formed by a few whole-document passes (the lengths are left
+    to ``Scheme._validate``).  Entries the passes refuse are walked one at
+    a time, only to raise the first fault in their shape or bits."""
     try:
-        names = tuple(map(itemgetter("name"), entries))
-        rows = list(map(itemgetter("profile"), entries))
-    except KeyError:
-        return None
-    if not (
-        {*map(type, names)} <= {str}
-        and {*map(type, rows)} <= {list}
-        and {*map(len, rows)} <= {n}
-        and {*map(type, chain.from_iterable(rows))} <= {int}
-    ):
-        return None
-    try:
-        answers = b"".join(map(bytes, rows))
-    except ValueError:  # a bit outside 0..255
-        return None
-    # Deleting every 0 and 1 byte leaves nothing only if every bit is 0 or 1.
-    return None if answers.translate(None, b"\0\1") else (names, answers)
-
-
-def _records(entries: list) -> tuple[ClassRecord, ...]:
-    """The class entries checked one at a time, raising the first fault."""
-    records = []
+        if {*map(type, entries)} <= {dict}:
+            names = tuple(map(itemgetter("name"), entries))
+            rows = list(map(itemgetter("profile"), entries))
+            if (
+                {*map(type, names)} <= {str}
+                and {*map(type, rows)} <= {list}
+                and {*map(type, chain.from_iterable(rows))} <= {int}
+                # Deleting every 0 and 1 byte leaves nothing only if every bit is 0 or 1.
+                and not (answers := b"".join(map(bytes, rows))).translate(None, b"\0\1")
+            ):
+                return names, answers, [*map(len, rows)]
+    except (KeyError, ValueError):  # a missing key; a bit outside 0..255
+        pass
     for i, entry in enumerate(entries):
         expect(isinstance(entry, dict), "class entry must be an object", f"classes[{i}]")
         expect("name" in entry, "missing key", f"classes[{i}].name")
@@ -236,13 +239,13 @@ def _records(entries: list) -> tuple[ClassRecord, ...]:
         raw_profile = entry["profile"]
         expect(isinstance(raw_profile, list), "profile must be an array", f"classes[{i}].profile")
         try:
-            records.append(ClassRecord(entry["name"], Profile(tuple(raw_profile))))
+            Profile(tuple(raw_profile))
         except ValidationError as exc:
             # ``Profile`` checks the bits; only a refused profile is searched
             # for the non-integer entry that outranks its error.
             expect_each(raw_profile, int, "profile entry must be an integer", f"classes[{i}].profile")
             raise ValidationError(exc.message, f"classes[{i}].{exc.path}") from exc
-    return tuple(records)
+    raise AssertionError("class entries refused by the whole-document passes show no fault")
 
 
 def _float_mass(m, i: int) -> float:
@@ -275,8 +278,7 @@ def parse_scheme(text: str, renormalize: bool = False) -> Scheme:
 
     raw_classes = doc["classes"]
     expect(isinstance(raw_classes, list), "must be an array", "classes")
-    proven = _answers(raw_classes, len(raw_attributes))
-    records = _records(raw_classes) if proven is None else None
+    names, answers, lengths = _classes(raw_classes)
 
     masses = None
     if "masses" in doc:
@@ -290,10 +292,8 @@ def parse_scheme(text: str, renormalize: bool = False) -> Scheme:
                 raise ValidationError(f"cannot renormalize masses summing to {total}", "masses")
             masses = tuple(m / total for m in masses)
 
-    if proven is None:
-        return Scheme(tuple(raw_attributes), records, masses)
-    scheme = object.__new__(Scheme)  # the answers are proven 0/1 and k x n
-    scheme._validate(tuple(raw_attributes), *proven, masses)
+    scheme = object.__new__(Scheme)  # the answers are proven 0/1; _validate checks their lengths
+    scheme._validate(raw_attributes, names, answers, masses, lengths)
     return scheme
 
 

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import gc
 import json
 import os
@@ -15,7 +16,7 @@ import pytest
 
 from corpus import binary_linear_scheme, random_injective_scheme, scheme_from_profiles, table1_scheme
 from golden_cases import GOLDEN_CASES, fill
-from discern import cli, matroid, strategies, trees
+from discern import checks, cli, matroid, strategies, trees
 from discern.scheme import Scheme, serialize_scheme
 
 
@@ -444,6 +445,23 @@ def test_check_mutation_detected(capsys, fixtures_dir, monkeypatch):
     assert failed and failed[0]["detail"]
 
 
+def test_check_reports_transcripts_that_differ_within_a_collision(capsys, fixtures_dir, monkeypatch, s1):
+    real = checks.identify
+
+    def identify(scheme, strat, class_index):  # C, which collides with A in s1, decodes to itself
+        transcript = real(scheme, strat, class_index)
+        return dataclasses.replace(transcript, output=2) if class_index == 2 else transcript
+
+    monkeypatch.setattr(checks, "identify", identify)
+    outcome = checks.check_barrier_factoring(s1)
+    assert outcome.ok is False and not outcome.skipped
+    assert "colliding classes A and C" in outcome.detail
+    code, out = run_cli(capsys, ["check", str(fixtures_dir / "s1.json")])
+    assert code == 4
+    doc = json.loads(out)
+    assert doc["ok"] is False and doc["checks"][-1] == dataclasses.asdict(outcome)
+
+
 def test_report_sections_and_digest(capsys, fixtures_dir):
     args = ["report", str(fixtures_dir / "s2.json"), "--seed", "5", "--tags", "1"]
     code1, out1 = run_cli(capsys, args)
@@ -576,6 +594,86 @@ def test_pretty_rendering(capsys, fixtures_dir):
     code, out = run_cli(capsys, ["analyze", str(fixtures_dir / "s1.json"), "--pretty"])
     assert code == 0
     assert "injective: False" in out
+
+
+PRETTY_TRADEOFF_S2 = """\
+points:
+  -
+    L: 2
+    W: 1
+    D: 0.0
+    strategy: nominal
+  -
+    L: 0
+    W: 2
+    D: 0.0
+    strategy: exhaustive
+  -
+    L: 0
+    W: 2
+    D: 0.0
+    strategy: adaptive
+  -
+    L: 1
+    W: 2
+    D: 0.0
+    strategy: hybrid
+frontier:
+  -
+    L: 2
+    W: 1
+    D: 0.0
+    strategy: nominal
+  -
+    L: 0
+    W: 2
+    D: 0.0
+    strategy: exhaustive
+converse:
+  -
+    L: 2
+    W: 1
+    D: 0.0
+    strategy: nominal
+    verdict: OK
+  -
+    L: 0
+    W: 2
+    D: 0.0
+    strategy: exhaustive
+    verdict: OK
+  -
+    L: 0
+    W: 2
+    D: 0.0
+    strategy: adaptive
+    verdict: OK
+  -
+    L: 1
+    W: 2
+    D: 0.0
+    strategy: hybrid
+    verdict: OK
+tag_plans:
+  -
+    L: 1
+    groups:
+      -
+        - A
+        - B
+      -
+        - C
+        - D
+    max_group_dimension: 1
+    residual_distortion: 0.0
+    exhaustive_max_group_dimension: 1
+"""
+
+
+def test_pretty_rendering_of_nested_lists(capsys, fixtures_dir):
+    code, out = run_cli(capsys, ["tradeoff", str(fixtures_dir / "s2.json"), "--tags", "1", "--pretty"])
+    assert code == 0
+    assert out == PRETTY_TRADEOFF_S2
 
 
 def test_help_and_usage_exit_codes(capsys):

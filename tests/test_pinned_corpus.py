@@ -50,8 +50,10 @@ LARGE_COMMANDS = (
     ["dimension"],
 )
 
-# One fault each: a bit out of the 0/1 domain, a boolean or string bit, a
-# ragged profile, a duplicate name, bad masses.
+# One fault each: a bit out of the 0/1 domain (256 is out of a byte too), a
+# boolean or string bit, a ragged profile, a duplicate name, bad masses, a
+# class entry that is not an object, has no profile or a non-string name,
+# and no classes at all.
 FAULTY_DOCUMENTS = {
     "bit-domain": '{"attributes": ["p", "q"], "classes": [{"name": "A", "profile": [0, 2]}]}',
     "bit-negative": '{"attributes": ["p"], "classes": [{"name": "A", "profile": [0]}, {"name": "B", "profile": [-1]}]}',
@@ -62,6 +64,11 @@ FAULTY_DOCUMENTS = {
     "duplicate-name": '{"attributes": ["p"], "classes": [{"name": "A", "profile": [0]}, {"name": "A", "profile": [1]}]}',
     "mass-sum": '{"attributes": ["p"], "classes": [{"name": "A", "profile": [0]}, {"name": "B", "profile": [1]}], "masses": [0.5, 0.6]}',
     "mass-count": '{"attributes": ["p"], "classes": [{"name": "A", "profile": [0]}], "masses": [0.5, 0.5]}',
+    "entry-not-object": '{"attributes": ["p"], "classes": [{"name": "A", "profile": [0]}, 3]}',
+    "missing-profile": '{"attributes": ["p"], "classes": [{"name": "A", "profile": [0]}, {"name": "B"}]}',
+    "name-not-string": '{"attributes": ["p"], "classes": [{"name": 5, "profile": [0]}]}',
+    "no-classes": '{"attributes": ["p"], "classes": []}',
+    "bit-256": '{"attributes": ["p", "q"], "classes": [{"name": "A", "profile": [0, 1]}, {"name": "B", "profile": [256, 0]}]}',
 }
 
 

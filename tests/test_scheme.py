@@ -20,6 +20,7 @@ from discern.scheme import (
     profile_of,
     serialize_scheme,
 )
+from discern.tradeoff import achievable_points
 from discern.trees import optimal_decision_tree
 
 MINIMAL = '{"attributes":["p","q"],"classes":[{"name":"A","profile":[0,0]},{"name":"B","profile":[0,1]}]}'
@@ -273,3 +274,46 @@ def test_bits_are_read_only(s2):
     for scheme in (s2, pickle.loads(pickle.dumps(s2))):
         with pytest.raises(ValueError):
             scheme.bits[0, 0] = not scheme.bits[0, 0]
+
+
+LIBRARY_RECORDS = (ClassRecord("A", Profile((0, 1))), ClassRecord("B", Profile((1, 0))))
+
+
+def test_list_built_scheme_is_the_tuple_built_one():
+    listed = Scheme(["p", "q"], list(LIBRARY_RECORDS), [0.5, 0.5])
+    tupled = Scheme(("p", "q"), LIBRARY_RECORDS, (0.5, 0.5))
+    assert listed == tupled and hash(listed) == hash(tupled)
+    assert achievable_points(listed) == achievable_points(tupled)  # hashes the scheme in a tree lookup
+    assert Scheme((a for a in "pq"), iter(LIBRARY_RECORDS), iter((0.5, 0.5))) == tupled
+
+
+@pytest.mark.parametrize(
+    "attributes, records, masses, path",
+    [
+        (("p", 7), LIBRARY_RECORDS, None, "attributes[1]"),
+        ((None, "q"), LIBRARY_RECORDS, None, "attributes[0]"),
+        (("p", "q"), (LIBRARY_RECORDS[0], ClassRecord(7, Profile((1, 0)))), None, "classes[1].name"),
+        (("p", "q"), (ClassRecord(("A",), Profile((0, 1))), LIBRARY_RECORDS[1]), None, "classes[0].name"),
+        (("p", "q"), LIBRARY_RECORDS, (True, False), "masses[0]"),
+        (("p", "q"), LIBRARY_RECORDS, (0.5, "0.5"), "masses[1]"),
+        (("p", "q"), LIBRARY_RECORDS, (None, 1.0), "masses[0]"),
+    ],
+)
+def test_direct_construction_refuses_what_a_document_cannot_hold(attributes, records, masses, path):
+    with pytest.raises(ValidationError) as exc:
+        Scheme(attributes, records, masses)
+    assert exc.value.path == path
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        (["p", "q"], list(LIBRARY_RECORDS), [0.25, 0.75]),
+        ((a for a in "pq"), iter(LIBRARY_RECORDS)),
+        (("p", "q"), LIBRARY_RECORDS, (1, 0)),
+        ([], [ClassRecord("only", Profile(()))], [1]),
+    ],
+)
+def test_library_built_schemes_round_trip(args):
+    scheme = Scheme(*args)
+    assert parse_scheme(serialize_scheme(scheme)) == scheme

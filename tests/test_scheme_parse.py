@@ -223,3 +223,20 @@ def test_table1_commands_leave_the_records_unbuilt(args, tmp_path, monkeypatch, 
     capsys.readouterr()
     [scheme] = loaded
     assert "classes" not in scheme.__dict__
+
+
+def test_parse_builds_no_records_and_calls_no_constructor(monkeypatch):
+    rng = random.Random(23)
+    texts = [serialize_scheme(table1_scheme()), '{"attributes": ["p"], "classes": [{"name": "A", "profile": [0, 1]}]}']
+    for fault in FAULTS:
+        doc = json.loads(serialize_scheme(random_scheme(rng, 4, 3)))
+        inject(rng, doc, fault)
+        texts.append(json.dumps(doc))
+    expected = [outcome(reference_parse_scheme, text, False) for text in texts]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("parse_scheme built a record or called Scheme(...)")
+
+    monkeypatch.setattr(Scheme, "__init__", refuse)
+    monkeypatch.setattr(ClassRecord, "__init__", refuse)
+    assert [outcome(parse_scheme, text, False) for text in texts] == expected
