@@ -4,24 +4,38 @@ shape checks that map malformed documents onto them."""
 import json
 
 
-class ParseError(Exception):
-    """Raised when an input document is not structurally valid.
-
-    ``path`` points at the offending location, e.g. ``"classes[1].profile"``.
-    """
+class _PathError(Exception):
+    """An input fault at ``path``, e.g. ``"classes[1].profile"``; ``message`` omits the path."""
 
     def __init__(self, message: str, path: str = ""):
         super().__init__(f"{path}: {message}" if path else message)
-        self.path = path
+        self.message, self.path = message, path
+
+
+class ParseError(_PathError):
+    """Raised when an input document is not structurally valid."""
+
+
+class ValidationError(_PathError):
+    """Raised when a structurally valid document violates a scheme invariant."""
+
+
+def first_repeat(items):
+    """The first item equal to an earlier one, in one pass; None if all differ."""
+    seen: set = set()
+    return next((x for x in items if x in seen or seen.add(x)), None)
+
+
+def first_not(items, types):
+    """The index of the first item not of ``types`` (a bool is never a number), or None."""
+    return next((i for i, x in enumerate(items) if not isinstance(x, types) or isinstance(x, bool)), None)
 
 
 def _unique_keys(pairs: list) -> dict:
     """A decoded JSON object; a repeated key is refused, not collapsed."""
     doc = dict(pairs)
     if len(doc) < len(pairs):
-        seen: set = set()
-        repeated = next(key for key, _ in pairs if key in seen or seen.add(key))
-        raise ParseError(f"duplicate key {repeated!r}")
+        raise ParseError(f"duplicate key {first_repeat(key for key, _ in pairs)!r}")
     return doc
 
 
@@ -44,22 +58,10 @@ def expect(condition: bool, message: str, path: str):
 
 
 def expect_each(items: list, types, message: str, path: str):
-    """One ``expect`` for a whole array: every item is of ``types`` and not
-    a bool; ``path[i]`` names the first item that is not."""
-    bad = next((i for i, x in enumerate(items) if not isinstance(x, types) or isinstance(x, bool)), None)
+    """One ``expect`` for a whole array: every item is of ``types`` (see
+    ``first_not``); ``path[i]`` names the first item that is not."""
+    bad = first_not(items, types)
     expect(bad is None, message, f"{path}[{bad}]")
-
-
-class ValidationError(Exception):
-    """Raised when a structurally valid document violates a scheme invariant.
-
-    ``path`` points at the offending location; ``message`` is the text
-    without it.
-    """
-
-    def __init__(self, message: str, path: str = ""):
-        super().__init__(f"{path}: {message}" if path else message)
-        self.message, self.path = message, path
 
 
 class BarrierError(Exception):

@@ -20,7 +20,7 @@ from itertools import chain
 from operator import itemgetter
 from typing import TYPE_CHECKING
 
-from .errors import ValidationError, decode_json, expect, expect_each
+from .errors import ValidationError, decode_json, expect, expect_each, first_not, first_repeat
 
 if TYPE_CHECKING:
     import numpy as np
@@ -35,11 +35,6 @@ class Profile:
     bits: tuple[int, ...]
 
     def __post_init__(self):
-        # Plain ints 0 and 1 pass in two C-speed set checks (a bool's type
-        # is not int, and 1.0 fails the type check); any other profile is
-        # walked bit by bit for its first fault.
-        if {*map(type, self.bits)} <= {int} and {*self.bits} <= {0, 1}:
-            return
         for i, b in enumerate(self.bits):
             if not isinstance(b, int) or isinstance(b, bool) or b not in (0, 1):
                 raise ValidationError(f"profile bit must be 0 or 1, got {b!r}", f"profile[{i}]")
@@ -75,9 +70,14 @@ class Scheme:
 
     def __init__(self, attributes, classes, masses=None):
         classes = tuple(classes)
+        if (bad := first_not(classes, ClassRecord)) is not None:
+            raise ValidationError("class entry must be a ClassRecord", f"classes[{bad}]")
+        profiles = [c.profile for c in classes]
+        if (bad := first_not(profiles, Profile)) is not None:
+            raise ValidationError("profile must be a Profile", f"classes[{bad}].profile")
         names = tuple(c.name for c in classes)
-        answers = b"".join(bytes(c.profile.bits) for c in classes)
-        self._validate(attributes, names, answers, masses, [len(c.profile) for c in classes])
+        answers = b"".join(bytes(p.bits) for p in profiles)
+        self._validate(attributes, names, answers, masses, [*map(len, profiles)])
         self.__dict__["classes"] = classes
 
     def _validate(self, attributes, names, answers, masses, profile_lengths):
@@ -85,17 +85,14 @@ class Scheme:
         attributes = tuple(attributes)
         if len(names) < 1:
             raise ValidationError("scheme needs at least one class", "classes")
-        for i, name in enumerate(attributes):
-            if not isinstance(name, str):
-                raise ValidationError("attribute name must be a string", f"attributes[{i}]")
+        if (bad := first_not(attributes, str)) is not None:
+            raise ValidationError("attribute name must be a string", f"attributes[{bad}]")
         if len(set(attributes)) != len(attributes):
             raise ValidationError("attribute names must be unique", "attributes")
-        for i, name in enumerate(names):
-            if not isinstance(name, str):
-                raise ValidationError("class name must be a string", f"classes[{i}].name")
+        if (bad := first_not(names, str)) is not None:
+            raise ValidationError("class name must be a string", f"classes[{bad}].name")
         if len(set(names)) != len(names):
-            dup = next(name for i, name in enumerate(names) if name in names[:i])
-            raise ValidationError(f"duplicate class name {dup!r}", "classes")
+            raise ValidationError(f"duplicate class name {first_repeat(names)!r}", "classes")
         n = len(attributes)
         for i, length in enumerate(profile_lengths):
             if length != n:
@@ -103,10 +100,9 @@ class Scheme:
         masses = tuple(1.0 / len(names) for _ in names) if masses is None else tuple(masses)
         if len(masses) != len(names):
             raise ValidationError(f"got {len(masses)} masses for {len(names)} classes", "masses")
-        if not {*map(type, masses)} <= {float}:  # plain floats pass in one C-speed set check
-            for i, m in enumerate(masses):
-                if isinstance(m, bool) or not isinstance(m, (int, float)):
-                    raise ValidationError("mass must be a number", f"masses[{i}]")
+        # Plain floats pass in one C-speed set check.
+        if not {*map(type, masses)} <= {float} and (bad := first_not(masses, (int, float))) is not None:
+            raise ValidationError("mass must be a number", f"masses[{bad}]")
         for i, m in enumerate(masses):
             if not _float_mass(m, i) >= 0:  # NaN fails too
                 raise ValidationError(f"mass must be nonnegative, got {m}", f"masses[{i}]")

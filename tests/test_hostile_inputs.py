@@ -42,6 +42,11 @@ def _random_injective(seed: int, k: int, n: int) -> str:
     return serialize_scheme(random_injective_scheme(random.Random(seed), k, n))
 
 
+def _last_name_repeats_the_first(k: int) -> str:
+    names = [f"c{c}" for c in range(k - 1)] + ["c0"]
+    return json.dumps({"attributes": ["a"], "classes": [{"name": name, "profile": [0]} for name in names]})
+
+
 INPUTS = {
     "deep.json": lambda: "[" * 200_000 + "]" * 200_000,
     "table1.json": lambda: serialize_scheme(table1_scheme()),
@@ -59,6 +64,7 @@ INPUTS = {
     "k1000n16.json": lambda: _random_injective(16, 1000, 16),
     "k20n16.json": lambda: _random_injective(16, 20, 16),
     "k24n20-sparse.json": lambda: _sparse_injective(3, 24, 20),
+    "k40000-repeated-name.json": lambda: _last_name_repeats_the_first(40_000),
 }
 
 
@@ -88,6 +94,14 @@ CASES = [
     pytest.param(["analyze", "deep.json"], 2, 5, _error("ParseError"), id="200000-deep-json"),
     pytest.param(["analyze", "table1-bad-bit.json"], 2, 5, _error("ValidationError"), id="table1-one-bad-bit"),
     pytest.param(["analyze", "huge-mass.json"], 2, 5, _error("ValidationError"), id="mass-past-float-range"),
+    # The first repeated class name is found in time linear in k.
+    pytest.param(
+        ["analyze", "k40000-repeated-name.json"],
+        2,
+        5,
+        lambda doc: doc == {"error": {"type": "ValidationError", "message": "classes: duplicate class name 'c0'"}},
+        id="k40000-last-name-repeats-the-first",
+    ),
     # The exact tree search inside its k <= 24 / n <= 20 limits, on sparse profiles.
     pytest.param(["tradeoff", "k24n20-sparse.json"], 0, 5, _adaptive_depth(14), id="tradeoff-k24n20-sparse"),
     pytest.param(["bases", "k64n31.json", "--max-n", "31"], 3, 5, _error("LimitError"), id="bases-n31"),

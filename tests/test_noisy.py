@@ -405,21 +405,28 @@ def exact_noise_expectation(scheme, epsilon, delta):
 
 
 @pytest.mark.parametrize("epsilon", [0.05, 0.45])
-def test_noise_walk_matches_its_exact_expectation(epsilon):
+def test_noise_walk_matches_its_exact_expectation(epsilon, s2, s3):
     # Two-sided, so a walk that errs too rarely or takes too few queries
     # fails too.  For any seed each bound fails with a chance of about
     # 1e-9: 6 binomial standard errors for the error rate, and Hoeffding's
     # inequality for the mean queries, since one trial's queries lie in
-    # [r, r * depth].
+    # [r, r * depth].  At this delta every exact error rate is large enough
+    # that a walk erring at half or double it falls outside the band, by
+    # 6 of its own standard errors.
     trials, delta = 100_000, 0.1
+
+    def band(rate):
+        return 6 * math.sqrt(rate * (1 - rate) / trials)
+
     schemes = [s for _, s in corpus_schemes() if collisions(s).injective]
     assert len(schemes) >= 5
-    for i, scheme in enumerate([*schemes, table1_scheme()]):
+    for i, scheme in enumerate([s2, s3, *schemes, table1_scheme()]):
         r, error, queries = exact_noise_expectation(scheme, epsilon, delta)
         result = simulate_noisy_identification(scheme, NoiseConfig(epsilon, delta, trials, i))
         assert result.repetitions == r
         assert 0 < error <= delta
-        standard_error = math.sqrt(error * (1 - error) / trials)
-        assert abs(result.empirical_error - error) <= 6 * standard_error, (i, result, error)
+        assert error / 2 + band(error / 2) < error - band(error), (i, error)
+        assert error + band(error) < 2 * error - band(2 * error), (i, error)
+        assert abs(result.empirical_error - error) <= band(error), (i, result, error)
         spread = r * (result.tree_depth - 1) * math.sqrt(math.log(2 / 1e-9) / (2 * trials))
         assert abs(result.mean_queries - queries) <= spread, (i, result, queries)

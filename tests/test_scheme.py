@@ -52,6 +52,10 @@ def test_duplicate_class_names_rejected():
     doc["classes"][1]["name"] = "A"
     with pytest.raises(ValidationError):
         parse_scheme(json.dumps(doc))
+    # The first repeat in document order is named, whatever the set order.
+    doc["classes"] = [{"name": name, "profile": [0, 0]} for name in ["z", "y", "x", "w", "x", "y", "z"]]
+    with pytest.raises(ValidationError, match=r"^classes: duplicate class name 'x'$"):
+        parse_scheme(json.dumps(doc))
 
 
 def test_duplicate_attribute_names_rejected():
@@ -297,6 +301,8 @@ def test_list_built_scheme_is_the_tuple_built_one():
         (("p", "q"), LIBRARY_RECORDS, (True, False), "masses[0]"),
         (("p", "q"), LIBRARY_RECORDS, (0.5, "0.5"), "masses[1]"),
         (("p", "q"), LIBRARY_RECORDS, (None, 1.0), "masses[0]"),
+        (("p", "q"), (LIBRARY_RECORDS[0], ("B", Profile((1, 0)))), None, "classes[1]"),
+        (("p", "q"), (ClassRecord("A", (0, 1)), LIBRARY_RECORDS[1]), None, "classes[0].profile"),
     ],
 )
 def test_direct_construction_refuses_what_a_document_cannot_hold(attributes, records, masses, path):
