@@ -1,7 +1,8 @@
 """Command-line surface: analysis, simulation, property checks, reports.
 
-JSON on stdout is the machine interface; ``--pretty`` renders tables for
-humans.  Exit codes: 0 success, 1 usage, 2 parse/validation error,
+JSON on stdout is the machine interface; its bytes are those of
+``json.dumps(doc, indent=2)`` plus a newline.  ``--pretty`` renders tables
+for humans.  Exit codes: 0 success, 1 usage, 2 parse/validation error,
 3 size limit exceeded (memory exhausted included), 4 property violation
 found by ``check``.
 
@@ -18,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 
 from . import __version__, barrier, checks, matroid, noisy, resolver, tradeoff
@@ -29,6 +29,7 @@ from .errors import (
     LimitError,
     ParseError,
     ValidationError,
+    encode_json,
 )
 from .scheme import Scheme, load_scheme, serialize_scheme
 from .strategies import KINDS, StrategyDescriptor, identify, identify_all, tag_bits_for
@@ -388,20 +389,18 @@ def _error_doc(exc: Exception) -> dict:
     return {"error": {"type": type(exc).__name__, "message": str(exc)}}
 
 
-def _write(path: str, text: str):
+def _write(path: str, *texts: str):
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text)
+        handle.writelines(texts)
 
 
 def _emit(doc: dict, args, output: str | None):
-    if args.pretty:
-        text = _render_pretty(doc) + "\n"
-    else:
-        text = json.dumps(doc, indent=2) + "\n"
+    # The newline is written on its own, not appended to a copy of the text.
+    text = _render_pretty(doc) if args.pretty else encode_json(doc)
     if output:
-        _write(output, text)
+        _write(output, text, "\n")
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines((text, "\n"))
 
 
 def main():

@@ -13,14 +13,13 @@ built on first use of ``Scheme.classes``.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import chain
 from operator import itemgetter
 from typing import TYPE_CHECKING
 
-from .errors import ValidationError, decode_json, expect, expect_each, first_not, first_repeat
+from .errors import ValidationError, decode_json, encode_json, expect, expect_each, first_not, first_repeat
 
 if TYPE_CHECKING:
     import numpy as np
@@ -305,7 +304,7 @@ def serialize_scheme(scheme: Scheme) -> str:
         ],
         "masses": list(scheme.masses),
     }
-    return json.dumps(doc, indent=2)
+    return encode_json(doc)
 
 
 def load_scheme(path: str, renormalize: bool = False) -> Scheme:

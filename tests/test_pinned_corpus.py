@@ -3,8 +3,10 @@
 The inputs are seeded schemes from ``corpus`` (random injective, colliding
 and mixed, with and without masses; one colliding k=100/n=30 scheme whose
 hybrid groups lie above the exact-tree limit) and a few single-fault
-documents.  ``tests/pinned/corpus_digests.json`` holds the digests; a
-change that should keep every output byte-identical must keep them.
+documents, and one scheme whose attribute and class names hold quotes,
+backslashes, control characters, the text of a row boundary, non-ASCII and
+a lone surrogate.  ``tests/pinned/corpus_digests.json`` holds the digests;
+a change that should keep every output byte-identical must keep them.
 
 Regenerate only for an intended, recorded output change:
 
@@ -21,9 +23,9 @@ import json
 import random
 from pathlib import Path
 
-from corpus import random_colliding_scheme, random_injective_scheme, random_scheme
+from corpus import random_colliding_scheme, random_injective_scheme, random_masses, random_scheme
 from discern import cli
-from discern.scheme import serialize_scheme
+from discern.scheme import ClassRecord, Scheme, serialize_scheme
 
 PINNED = Path(__file__).parent / "pinned" / "corpus_digests.json"
 
@@ -95,6 +97,29 @@ def large_scheme():
     return random_colliding_scheme(random.Random(7), 100, 30)
 
 
+# Names that JSON must escape, one attribute and one class each: a quote, a
+# backslash, control characters, a newline followed by the text of a row
+# boundary in the indented output, non-ASCII and a lone surrogate.
+HOSTILE_NAMES = (
+    'say "hi"',
+    "back\\slash\\",
+    "new\nline\ttab\x00\x1f",
+    '],\n    ["',
+    "},\n    {",
+    "é ß — 漢字 🙂",
+    "\ud800 lone",
+)
+
+
+def hostile_scheme():
+    """An injective scheme named by ``HOSTILE_NAMES``, with seeded masses."""
+    rng = random.Random(30)
+    k = len(HOSTILE_NAMES)
+    base = random_injective_scheme(rng, k, k)
+    records = [ClassRecord(name, record.profile) for name, record in zip(HOSTILE_NAMES[::-1], base.classes)]
+    return Scheme(HOSTILE_NAMES, records, random_masses(rng, k))
+
+
 def corpus_requests(where: Path):
     """(case id, argv) for every request, writing its input under ``where``."""
     requests = []
@@ -115,6 +140,9 @@ def corpus_requests(where: Path):
     path = document("large-colliding-k100-n30", serialize_scheme(large_scheme()))
     for command in LARGE_COMMANDS:
         requests.append((f"large-colliding-k100-n30 {' '.join(command)}", [command[0], path, *command[1:]]))
+    path = document("hostile-names", serialize_scheme(hostile_scheme()))
+    for command in SCHEME_COMMANDS:
+        requests.append((f"hostile-names {' '.join(command)}", [command[0], path, *command[1:]]))
     for name, text in FAULTY_DOCUMENTS.items():
         path = document(f"fault-{name}", text)
         requests.append((f"fault-{name} analyze", ["analyze", path]))

@@ -1,6 +1,7 @@
 """The two ways a scheme is built: ``parse_scheme``'s whole-document passes
 against a per-entry reference parser, and records against parsed answers."""
 import dataclasses
+import itertools
 import json
 import pickle
 import random
@@ -10,10 +11,9 @@ from hypothesis import given, settings, strategies as st
 
 from corpus import random_scheme, table1_scheme
 from discern import cli
-from discern.errors import ValidationError, decode_json, expect, expect_each
+from discern.errors import ParseError, ValidationError
 from discern.scheme import (
     ClassRecord,
-    Profile,
     Scheme,
     parse_scheme,
     profile_of,
@@ -21,48 +21,112 @@ from discern.scheme import (
 )
 
 
-def reference_parse_scheme(text: str, renormalize: bool = False) -> Scheme:
-    """Reference: the parser that checked and built one record per class entry."""
-    doc = decode_json(text)
-    expect(isinstance(doc, dict), "document must be a JSON object", "")
-    expect("attributes" in doc, "missing key", "attributes")
-    expect("classes" in doc, "missing key", "classes")
+def reference_parse_scheme(text: str, renormalize: bool = False) -> dict:
+    """Reference: one pass per class entry, with every rule written out here,
+    not taken from ``discern``; the scheme's plain fields, or the first fault."""
+
+    def no_repeat(items, error):
+        seen = set()
+        for item in items:
+            if item in seen:
+                raise error(item)
+            seen.add(item)
+
+    def unique_keys(pairs):
+        no_repeat((key for key, _ in pairs), lambda key: ParseError(f"duplicate key {key!r}"))
+        return dict(pairs)
+
+    def each_of(items, types, message, path):  # a bool is never a number
+        for i, item in enumerate(items):
+            if isinstance(item, bool) or not isinstance(item, types):
+                raise ParseError(message, f"{path}[{i}]")
+
+    try:
+        doc = json.loads(text, object_pairs_hook=unique_keys)
+    except ValueError as exc:
+        raise ParseError(f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ParseError("invalid JSON: nested too deeply to decode") from exc
+    if not isinstance(doc, dict):
+        raise ParseError("document must be a JSON object", "")
+    for key in ("attributes", "classes"):
+        if key not in doc:
+            raise ParseError("missing key", key)
     unknown = set(doc) - {"attributes", "classes", "masses"}
-    expect(not unknown, f"unknown keys {sorted(unknown)}", "")
+    if unknown:
+        raise ParseError(f"unknown keys {sorted(unknown)}", "")
 
-    raw_attributes = doc["attributes"]
-    expect(isinstance(raw_attributes, list), "must be an array", "attributes")
-    expect_each(raw_attributes, str, "attribute name must be a string", "attributes")
+    attributes = doc["attributes"]
+    if not isinstance(attributes, list):
+        raise ParseError("must be an array", "attributes")
+    each_of(attributes, str, "attribute name must be a string", "attributes")
 
-    raw_classes = doc["classes"]
-    expect(isinstance(raw_classes, list), "must be an array", "classes")
-    records = []
-    for i, entry in enumerate(raw_classes):
-        expect(isinstance(entry, dict), "class entry must be an object", f"classes[{i}]")
-        expect("name" in entry, "missing key", f"classes[{i}].name")
-        expect("profile" in entry, "missing key", f"classes[{i}].profile")
-        expect(isinstance(entry["name"], str), "class name must be a string", f"classes[{i}].name")
-        raw_profile = entry["profile"]
-        expect(isinstance(raw_profile, list), "profile must be an array", f"classes[{i}].profile")
-        try:
-            records.append(ClassRecord(entry["name"], Profile(tuple(raw_profile))))
-        except ValidationError as exc:
-            expect_each(raw_profile, int, "profile entry must be an integer", f"classes[{i}].profile")
-            raise ValidationError(exc.message, f"classes[{i}].{exc.path}") from exc
+    entries = doc["classes"]
+    if not isinstance(entries, list):
+        raise ParseError("must be an array", "classes")
+    names, rows = [], []
+    for i, entry in enumerate(entries):
+        at = f"classes[{i}]"
+        if not isinstance(entry, dict):
+            raise ParseError("class entry must be an object", at)
+        for key in ("name", "profile"):
+            if key not in entry:
+                raise ParseError("missing key", f"{at}.{key}")
+        if not isinstance(entry["name"], str):
+            raise ParseError("class name must be a string", f"{at}.name")
+        profile = entry["profile"]
+        if not isinstance(profile, list):
+            raise ParseError("profile must be an array", f"{at}.profile")
+        # A non-integer anywhere in a profile outranks a bit outside 0/1.
+        each_of(profile, int, "profile entry must be an integer", f"{at}.profile")
+        for j, bit in enumerate(profile):
+            if bit not in (0, 1):
+                raise ValidationError(f"profile bit must be 0 or 1, got {bit!r}", f"{at}.profile[{j}]")
+        names.append(entry["name"])
+        rows.append(tuple(profile))
 
     masses = None
     if "masses" in doc:
-        raw_masses = doc["masses"]
-        expect(isinstance(raw_masses, list), "must be an array", "masses")
-        expect_each(raw_masses, (int, float), "mass must be a number", "masses")
-        masses = tuple(float(m) for m in raw_masses)
+        if not isinstance(doc["masses"], list):
+            raise ParseError("must be an array", "masses")
+        each_of(doc["masses"], (int, float), "mass must be a number", "masses")
+        masses = []
+        for i, m in enumerate(doc["masses"]):
+            try:
+                masses.append(float(m))
+            except OverflowError:
+                raise ValidationError("mass does not fit in a float", f"masses[{i}]") from None
         if renormalize and masses:
             total = sum(masses)
             if total <= 0:
                 raise ValidationError(f"cannot renormalize masses summing to {total}", "masses")
-            masses = tuple(m / total for m in masses)
+            masses = [m / total for m in masses]
 
-    return Scheme(tuple(raw_attributes), tuple(records), masses)
+    # The scheme rules, in their order: classes, names, lengths, masses.
+    k, n = len(names), len(attributes)
+    if k < 1:
+        raise ValidationError("scheme needs at least one class", "classes")
+    no_repeat(attributes, lambda name: ValidationError("attribute names must be unique", "attributes"))
+    no_repeat(names, lambda name: ValidationError(f"duplicate class name {name!r}", "classes"))
+    for i, row in enumerate(rows):
+        if len(row) != n:
+            raise ValidationError(f"profile has length {len(row)}, expected {n}", f"classes[{i}].profile")
+    masses = [1.0 / k] * k if masses is None else masses
+    if len(masses) != k:
+        raise ValidationError(f"got {len(masses)} masses for {k} classes", "masses")
+    for i, m in enumerate(masses):
+        if not m >= 0:  # NaN fails too
+            raise ValidationError(f"mass must be nonnegative, got {m}", f"masses[{i}]")
+    total = sum(masses)
+    if not abs(total - 1) <= 1e-9:
+        raise ValidationError(f"masses sum to {total}, expected 1", "masses")
+    return {"attributes": tuple(attributes), "class_names": tuple(names), "rows": tuple(rows), "masses": tuple(masses)}
+
+
+def scheme_fields(scheme: Scheme) -> dict:
+    """A scheme's plain fields, as ``reference_parse_scheme`` returns them."""
+    rows = tuple(tuple(scheme.row(c)) for c in range(scheme.k))
+    return {"attributes": scheme.attributes, "class_names": scheme.class_names, "rows": rows, "masses": scheme.masses}
 
 
 BAD_BITS = [True, False, 1.0, "1", 2, -1, 256, 2**70, None]
@@ -98,6 +162,11 @@ def inject(rng: random.Random, doc: dict, fault: str):
         other = classes[rng.randrange(len(classes))]
         if isinstance(other, dict) and "name" in other:
             entry["name"] = other["name"]
+    elif fault == "duplicate attribute" and doc["attributes"]:
+        doc["attributes"].insert(rng.randrange(len(doc["attributes"]) + 1), rng.choice(doc["attributes"]))
+    elif fault == "non-string attribute":
+        attributes = doc["attributes"]
+        attributes.insert(rng.randrange(len(attributes) + 1), rng.choice([5, None, True, ["a0"]]))
     elif fault == "bad masses":
         k = len(classes)
         doc["masses"] = rng.choice([
@@ -122,26 +191,32 @@ FAULTS = [
     "bad bit",
     "ragged profile",
     "duplicate name",
+    "duplicate attribute",
+    "non-string attribute",
     "bad masses",
 ]
 
 
 def outcome(parse, text: str, renormalize: bool):
-    """The scheme, or the (type, message, path) of the refusal."""
+    """The plain fields of the scheme, or the (type, message, path) of the refusal."""
     try:
-        return parse(text, renormalize)
+        result = parse(text, renormalize)
     except Exception as exc:  # every refusal is compared, whatever its type
         return type(exc), str(exc), getattr(exc, "path", None)
+    return scheme_fields(result) if isinstance(result, Scheme) else result
 
 
 def assert_same_outcome(text: str, renormalize: bool = False):
+    """The parsed scheme, or the refusal, once it matches the reference's."""
     got = outcome(parse_scheme, text, renormalize)
     expected = outcome(reference_parse_scheme, text, renormalize)
     assert got == expected
-    if isinstance(got, Scheme):
-        assert got.bits.tolist() == expected.bits.tolist()
-        assert got.classes == expected.classes
-    return got
+    if not isinstance(got, dict):
+        return got
+    scheme = parse_scheme(text, renormalize)
+    assert scheme.bits.tolist() == [[bool(b) for b in row] for row in expected["rows"]]
+    assert [(c.name, c.profile.bits) for c in scheme.classes] == list(zip(expected["class_names"], expected["rows"]))
+    return scheme
 
 
 @settings(max_examples=300, deadline=None)
@@ -161,6 +236,42 @@ def test_faults_are_reported_as_the_reference_parser_does(seed, k, n, with_masse
     for fault in faults:
         inject(rng, doc, fault)
     assert_same_outcome(json.dumps(doc), renormalize)
+
+
+def test_every_pair_of_faults_is_reported_as_the_reference_parser_does():
+    # Each ordered pair on a few seeded documents, so the order in which two
+    # rules are checked is compared whichever pair of faults meets.
+    for first, second in itertools.product(FAULTS, repeat=2):
+        for seed in range(6):
+            rng = random.Random(seed)
+            scheme = random_scheme(rng, rng.randint(2, 5), rng.randint(1, 4), with_masses=seed % 2 == 1)
+            doc = json.loads(serialize_scheme(scheme))
+            inject(rng, doc, first)
+            inject(rng, doc, second)
+            assert_same_outcome(json.dumps(doc), renormalize=seed % 3 == 0)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[",
+        "[" * 100_000,
+        '{"attributes": ["p"], "attributes": ["q"], "classes": []}',
+        '{"attributes": ["p"], "classes": [{"name": "A", "profile": [0], "name": "B"}]}',
+        "[]",
+        '{"classes": []}',
+        '{"attributes": []}',
+        '{"attributes": [], "classes": [], "extra": 1}',
+        '{"attributes": "p", "classes": []}',
+        '{"attributes": [], "classes": {}}',
+        '{"attributes": [], "classes": [{"name": "A", "profile": []}], "masses": {}}',
+        '{"attributes": [], "classes": [{"name": "A", "profile": []}], "masses": [1e400]}',
+        '{"attributes": [], "classes": [{"name": "A", "profile": []}], "masses": [%s]}' % (10**400),
+        '{"attributes": [], "classes": [{"name": "A", "profile": []}]}',
+    ],
+)
+def test_document_faults_are_reported_as_the_reference_parser_does(text):
+    assert_same_outcome(text)
 
 
 @pytest.mark.parametrize("bit", BAD_BITS)
