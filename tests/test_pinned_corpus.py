@@ -1,11 +1,14 @@
-"""Byte-identity corpus: SHA-256 of stdout plus the exit code of ~250 CLI requests.
+"""Byte-identity corpus: SHA-256 of stdout plus the exit code of ~290 CLI requests.
 
 The inputs are seeded schemes from ``corpus`` (random injective, colliding
 and mixed, with and without masses; one colliding k=100/n=30 scheme whose
 hybrid groups lie above the exact-tree limit) and a few single-fault
 documents, and one scheme whose attribute and class names hold quotes,
 backslashes, control characters, the text of a row boundary, non-ASCII and
-a lone surrogate.  ``tests/pinned/corpus_digests.json`` holds the digests;
+a lone surrogate.  A few resolver scenarios run ``resolve --trace``: a
+miss-heavy one, a 0 entry before a nonzero one of its type, two lineage
+types with one target, and an ill-formed registry with and without
+``--strict``.  ``tests/pinned/corpus_digests.json`` holds the digests;
 a change that should keep every output byte-identical must keep them.
 
 Regenerate only for an intended, recorded output change:
@@ -39,6 +42,7 @@ SCHEME_COMMANDS = (
     ["bases"],
     ["dimension"],
     ["simulate-noise", "--eps", "0.1", "0.3", "--delta", "0.1", "--trials", "200", "--seed", "5"],
+    ["simulate-noise", "--eps", "0.1", "0.3", "--delta", "0.1", "--trials", "200", "--seed", "5", "--tagged"],
 )
 CLASS_COMMANDS = (
     ["simulate", "--strategy", "hybrid", "--tags", "1"],
@@ -120,6 +124,58 @@ def hostile_scheme():
     return Scheme(HOSTILE_NAMES, records, random_masses(rng, k))
 
 
+def miss_heavy_scenario() -> dict:
+    """Many scopes and lineage types, with one hit in the last scope.
+
+    Every scope holds entries of types no lineage type normalizes to (one
+    scope is unknown to ``ctx``); a quarter of the lineage types are
+    rewritten to fresh ids, so the registry is well-formed.
+    """
+    rng = random.Random(31)
+    mro = rng.sample(range(100, 1_000), 24)
+    registry = {t: 2_000 + i for i, t in enumerate(rng.sample(mro, 6))}
+    scopes = [f"scope{i:02d}" for i in range(12)]
+    ctx = {s: [{"typ": rng.randrange(3_000, 4_000), "value": rng.randrange(10)} for _ in range(6)] for s in scopes[:-1]}
+    del ctx[scopes[3]]
+    hit = mro[17]
+    ctx[scopes[-1]] = [{"typ": 5, "value": 1}, {"typ": registry.get(hit, hit), "value": 77}, {"typ": mro[0], "value": 0}]
+    return {"registry": {str(t): target for t, target in registry.items()}, "mro": mro, "scopes": scopes, "ctx": ctx}
+
+
+# Resolver scenarios, each run with ``--trace``: (name, document, extra
+# options).  The zero case's first entry of type 1 holds the unset 0, which
+# ends that probe before the later 8; types 2 and 3 normalize to one target;
+# the ill-formed registry maps 2 to 1 and 1 to 3, and is run with and
+# without ``--strict``.
+ILL_FORMED = {"registry": {"2": 1, "1": 3}, "mro": [2, 1], "scopes": ["s0"], "ctx": {"s0": [{"typ": 3, "value": 4}]}}
+RESOLVE_CASES = (
+    ("miss-heavy", miss_heavy_scenario(), []),
+    (
+        "zero-then-nonzero",
+        {
+            "mro": [1],
+            "scopes": ["s0", "s1"],
+            "ctx": {"s0": [{"typ": 1, "value": 0}, {"typ": 1, "value": 8}], "s1": [{"typ": 1, "value": 3}]},
+            "obj": {"typ": 1, "value": 0},
+            "lazy": True,
+        },
+        [],
+    ),
+    (
+        "shared-target",
+        {
+            "registry": {"2": 1, "3": 1},
+            "mro": [2, 3, 1, 4],
+            "scopes": ["s0", "s1"],
+            "ctx": {"s0": [{"typ": 4, "value": 0}], "s1": [{"typ": 2, "value": 6}, {"typ": 1, "value": 9}]},
+        },
+        [],
+    ),
+    ("ill-formed", ILL_FORMED, []),
+    ("ill-formed", ILL_FORMED, ["--strict"]),
+)
+
+
 def corpus_requests(where: Path):
     """(case id, argv) for every request, writing its input under ``where``."""
     requests = []
@@ -146,6 +202,10 @@ def corpus_requests(where: Path):
     for name, text in FAULTY_DOCUMENTS.items():
         path = document(f"fault-{name}", text)
         requests.append((f"fault-{name} analyze", ["analyze", path]))
+    for name, scenario, options in RESOLVE_CASES:
+        path = document(f"scenario-{name}", json.dumps(scenario))
+        argv = ["resolve", path, "--trace", *options]
+        requests.append((f"scenario-{name} {' '.join(argv[:1] + argv[2:])}", argv))
     return requests
 
 

@@ -175,6 +175,53 @@ def test_fuzz_completeness_biconditional():
             assert (scalar == v) == holds
 
 
+def reference_resolve(scenario):
+    """The module docstring as a literal nested loop, sharing no helper with
+    ``resolver``: ((value, scope, source type) or None, probe tuples)."""
+    probes = []
+    for scope in scenario.scopes:
+        for mro_type in scenario.mro:
+            target = scenario.registry[mro_type] if mro_type in scenario.registry else mro_type
+            probes.append((scope, mro_type, target))
+            for config in scenario.ctx.get(scope, []):
+                if config.typ == target:
+                    if config.value != 0:
+                        return (config.value, scope, target), probes
+                    break
+    return None, probes
+
+
+def repeating_scenarios(count, seed):
+    """Few types and many entries per scope, so a type repeats within a
+    scope, zeros among them; the scope stack may revisit a scope or name
+    one that ``ctx`` lacks."""
+    rng = random.Random(seed)
+    scenarios = []
+    for _ in range(count):
+        registry = {rng.randint(0, 5): rng.randint(0, 5) for _ in range(rng.randint(0, 3))}
+        ctx = {
+            scope: [ConfigInstance(rng.randint(0, 5), rng.choice((0, 0, 1, 2, 3))) for _ in range(rng.randint(0, 8))]
+            for scope in ("a", "b", "c")
+        }
+        scopes = rng.choices(("a", "b", "c", "ghost"), k=rng.randint(0, 5))
+        mro = [rng.randint(0, 5) for _ in range(rng.randint(0, 6))]
+        scenarios.append(ResolveScenario(registry=registry, mro=mro, scopes=scopes, ctx=ctx))
+    return scenarios
+
+
+def test_resolve_matches_the_nested_loop_reference():
+    cases = fuzz_scenarios(1000) + repeating_scenarios(1000, seed=78)
+    assert any(
+        len({c.typ for c in configs}) < len(configs) for scenario in cases for configs in scenario.ctx.values()
+    )
+    for scenario in cases:
+        expected, probes = reference_resolve(scenario)
+        trace: list = []
+        result = resolve(scenario, trace=trace)
+        assert (None if result is None else (result.value, result.scope, result.source_type)) == expected
+        assert trace == probes
+
+
 def test_config_instance_validation():
     with pytest.raises(ValueError):
         ConfigInstance(-1, 0)

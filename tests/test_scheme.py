@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from corpus import random_masses, random_scheme, scheme_from_profiles
-from discern import errors, scheme as scheme_module
+from discern import cli, errors, scheme as scheme_module
 from discern.errors import ParseError, ValidationError
 from discern.scheme import (
     ClassRecord,
@@ -74,6 +74,23 @@ def test_bad_masses_rejected(masses):
     doc["masses"] = masses
     with pytest.raises(ValidationError):
         parse_scheme(json.dumps(doc))
+
+
+def test_mass_sum_tolerance_is_pinned(tmp_path, capsys):
+    # A sum 5e-10 off 1 is rounding; one 1e-8 off is a wrong document.  A
+    # tolerance of 1e-10 refuses the first, one of 1e-6 accepts the second.
+    doc = json.loads(MINIMAL)
+    doc["masses"] = [0.5, 0.5 + 5e-10]
+    assert parse_scheme(json.dumps(doc)).masses == (0.5, 0.5 + 5e-10)
+    doc["masses"] = [0.5, 0.5 + 1e-8]
+    with pytest.raises(ValidationError) as exc:
+        parse_scheme(json.dumps(doc))
+    assert exc.value.path == "masses"
+    path = tmp_path / "off.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert cli.run(["analyze", str(path)]) == cli.DATA_EXIT == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["type"] == "ValidationError" and error["message"].startswith("masses: masses sum to 1.00000001")
 
 
 def test_renormalize_is_explicit_only():

@@ -150,6 +150,37 @@ def test_witness_id_cost_builds_one_adaptive_tree(monkeypatch):
     assert len(calls) == 1
 
 
+def test_hybrid_identify_all_builds_one_tree_per_requested_group(monkeypatch):
+    # One adaptive tree per distinct non-singleton group that a requested
+    # class falls in, however many of its classes are asked for; a
+    # singleton group is answered by the tag alone and gets no tree.
+    calls = []
+
+    def counting(scheme, classes=None):
+        calls.append(classes)
+        return adaptive_tree(scheme, classes)
+
+    monkeypatch.setattr(strategies, "adaptive_tree", counting)
+    scheme = random_injective_scheme(random.Random(0), 12, 6)
+    rng = random.Random(33)
+    for L in (1, 2, 3):
+        groups = tag_partition(scheme, L)
+        group_of = {c: g for g in groups for c in g}
+        for size in (1, 3, 8, 20):
+            requested = rng.choices(range(scheme.k), k=size)
+            calls.clear()
+            identify_all(scheme, StrategyDescriptor.hybrid(L), requested)
+            expected = {group_of[c] for c in requested if len(group_of[c]) > 1}
+            assert sorted(calls) == sorted(expected)
+    # L = 3 splits the twelve classes into singletons and pairs.
+    singletons = [g for g in groups if len(g) == 1]
+    pairs = [g for g in groups if len(g) == 2]
+    assert singletons and pairs
+    calls.clear()
+    identify_all(scheme, StrategyDescriptor.hybrid(3), [*pairs[0], singletons[0][0], pairs[0][0], pairs[1][1]])
+    assert sorted(calls) == sorted([pairs[0], pairs[1]])
+
+
 def test_identify_all_matches_identify_per_class():
     rng = random.Random(31)
     for _ in range(15):
