@@ -7,7 +7,8 @@ A hit returns the value together with the scope and the normalized source
 type that supplied it, so provenance survives resolution.
 
 The value 0 is the unset sentinel, kept exactly as in the reference
-listings; a config entry holding 0 is skipped, not returned.
+listings: the first entry of the probed type in a scope decides the probe,
+and one holding 0 is skipped, not returned, hiding later entries of its type.
 """
 from __future__ import annotations
 
@@ -15,15 +16,13 @@ from dataclasses import dataclass, field
 
 from .errors import ParseError, decode_json, expect, expect_each
 
-Registry = dict
 
-
-def well_formed(registry: Registry) -> bool:
+def well_formed(registry: dict) -> bool:
     """True iff every rewrite target is itself unmapped (a fixed point)."""
     return all(target not in registry for target in registry.values())
 
 
-def normalize(registry: Registry, typ: int) -> int:
+def normalize(registry: dict, typ: int) -> int:
     """One-step rewrite: the mapped target if present, else ``typ`` itself."""
     return registry.get(typ, typ)
 
@@ -55,17 +54,10 @@ class ResolveScenario:
     config list.
     """
 
-    registry: Registry = field(default_factory=dict)
+    registry: dict = field(default_factory=dict)
     mro: list = field(default_factory=list)
     scopes: list = field(default_factory=list)
     ctx: dict = field(default_factory=dict)
-
-
-def _find_config_value(configs, typ: int):
-    for config in configs:
-        if config.typ == typ:
-            return config.value
-    return None
 
 
 def resolve(scenario: ResolveScenario, trace: list | None = None, strict: bool = False):
@@ -81,13 +73,14 @@ def resolve(scenario: ResolveScenario, trace: list | None = None, strict: bool =
             raise ValueError("registry is not well-formed: some target is itself mapped")
         import logging
         logging.getLogger(__name__).warning("registry is not well-formed; normalization may not be idempotent")
+    lineage = [(mro_type, normalize(scenario.registry, mro_type)) for mro_type in scenario.mro]
     for scope in scenario.scopes:
-        for mro_type in scenario.mro:
-            norm_type = normalize(scenario.registry, mro_type)
+        # Each type's first entry, read when the scope is reached.
+        first = {config.typ: config.value for config in reversed(scenario.ctx.get(scope, ()))}
+        for mro_type, norm_type in lineage:
             if trace is not None:
                 trace.append((scope, mro_type, norm_type))
-            value = _find_config_value(scenario.ctx.get(scope, []), norm_type)
-            if value is not None and value != 0:
+            if value := first.get(norm_type):
                 return ResolveResult(value=value, scope=scope, source_type=norm_type)
     return None
 
