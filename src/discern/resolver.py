@@ -75,7 +75,7 @@ def resolve(scenario: ResolveScenario, trace: list | None = None, strict: bool =
         logging.getLogger(__name__).warning("registry is not well-formed; normalization may not be idempotent")
     lineage = [(mro_type, normalize(scenario.registry, mro_type)) for mro_type in scenario.mro]
     for scope in scenario.scopes:
-        # Each type's first entry, read when the scope is reached.
+        # Built in reverse, so each type keeps its first entry.
         first = {config.typ: config.value for config in reversed(scenario.ctx.get(scope, ()))}
         for mro_type, norm_type in lineage:
             if trace is not None:
