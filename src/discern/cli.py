@@ -92,11 +92,9 @@ def _tradeoff_doc(scheme: Scheme, args) -> dict:
         ],
     }
     if tags:
+        # vars() keeps the fields in order without copying each group, as asdict() would.
         doc["tag_plans"] = [
-            {
-                **dataclasses.asdict(p.plan),
-                "groups": [[scheme.class_names[c] for c in g] for g in p.plan.groups],
-            }
+            {**vars(p.plan), "groups": [[scheme.class_names[c] for c in g] for g in p.plan.groups]}
             for p in points
             if p.plan is not None
         ]

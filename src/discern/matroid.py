@@ -37,6 +37,16 @@ q: it sits on both sides of a trie node split at level q.  Such a pair
 exists iff, at some node split at q, the two children share a projection
 onto the attributes already kept below q; the pair already agrees above q,
 and the attributes dropped below q no longer count.
+
+The same pass names the drop's pivots: the two profiles of the only such
+pair at a kept level.  Removing any other profile leaves the drop's mask
+as it is, level by level upward.  A level the larger set drops, the
+smaller set drops too.  The pairs of one level are disjoint, because each
+child's projections are distinct, so a kept level with two or more pairs
+still holds one without any single profile, and a level's only pair
+stays whole without a profile outside it.  So the tag search
+(``strategies.tag_partition``) knows, without evaluating it, the
+dimension of a group that loses a unit outside its pivots.
 """
 from __future__ import annotations
 
@@ -120,23 +130,8 @@ def _smallest_separating_mask(profiles, n: int, exact_limit: int) -> tuple[int, 
     NumPy calls, and ``TABLE_CELLS_PER_TEST`` converts one cost into the
     other; it runs when predicted cheaper.
 
-    Above ``exact_limit``, one ascending drop pass gives an
-    inclusion-minimal mask: the candidate only shrinks, so a kept
-    attribute never becomes droppable later.
-
-    The drop walks the trie nodes of the sorted profiles by ascending
-    split level q.  Sorted profiles that agree above q form one run, split
-    at q into a 0 child and a 1 child: a node boundary is an adjacent pair
-    whose highest differing bit is q, and the node reaches out to the
-    nearest boundaries with a higher bit (a monotonic stack finds them).
-    Dropping q fails exactly when two profiles agree on every attribute
-    still in the mask once q is gone.  Every attribute above q is still
-    in it, so the pair agrees above q and, the mask having separated it,
-    differs at q: it straddles the two children of one node at level q and
-    agrees on the attributes kept below q (see the module docstring).  The
-    test builds a set of the smaller child's projections onto those
-    attributes and probes it with the larger child's.  A level with no
-    node drops its attribute.
+    Above ``exact_limit`` the mask is the ascending greedy drop's
+    (``_greedy_drop``).
     """
     if n <= exact_limit:
         g = len(profiles)
@@ -153,29 +148,64 @@ def _smallest_separating_mask(profiles, n: int, exact_limit: int) -> tuple[int, 
                 low = mask & -mask
                 ripple = mask + low
                 mask = ripple | ((ripple ^ mask) >> 2) // low
+    return _greedy_drop(profiles, n)[0], False
+
+
+def _greedy_drop(profiles, n: int) -> tuple[int, set[int]]:
+    """The ascending greedy drop's mask over the ``profiles`` (copies
+    collapse), and its pivots: the profiles whose removal can change it.
+
+    One ascending pass gives an inclusion-minimal mask: the candidate only
+    shrinks, so a kept attribute never becomes droppable later.  The pass
+    walks the trie nodes of the sorted profiles by ascending split level q.
+    Sorted profiles that agree above q form one run, split at q into a 0
+    child and a 1 child: a node boundary is an adjacent pair whose highest
+    differing bit is q, and the node reaches out to the nearest boundaries
+    with a higher bit (a monotonic stack finds them).  Dropping q fails
+    exactly when two profiles agree on every attribute still in the mask
+    once q is gone.  Every attribute above q is still in it, so the pair
+    agrees above q and, the mask having separated it, differs at q: it
+    straddles the two children of one node at level q and agrees on the
+    attributes kept below q (see the module docstring).  The test maps the
+    smaller child's projections onto those attributes to their profiles
+    and probes the map with the larger child's.  A level with no node
+    drops its attribute.
+
+    The pass counts the colliding pairs of each kept level up to two, and
+    the two profiles of a level's only pair are pivots (see the module
+    docstring for why removing any other profile keeps the mask).
+    """
     ordered = sorted(set(profiles))
     # tops[i]: the highest bit where ordered[i] and ordered[i + 1] differ.
     tops = [(a ^ b).bit_length() - 1 for a, b in zip(ordered, ordered[1:])]
-    nodes = []  # (level, start, middle, end): children ordered[start:middle], ordered[middle:end]
+    # levels[q]: the nodes split at q, as (start, middle, end) with the
+    # children ordered[start:middle] and ordered[middle:end].
+    levels: dict[int, list] = {}
     stack: list[int] = []  # open boundaries, highest bits strictly decreasing
     for i, top in enumerate([*tops, n]):
         while stack and tops[stack[-1]] < top:
             j = stack.pop()
-            nodes.append((tops[j], stack[-1] + 1 if stack else 0, j + 1, i + 1))
+            levels.setdefault(tops[j], []).append((stack[-1] + 1 if stack else 0, j + 1, i + 1))
         stack.append(i)
     mask = 0
-    for q, start, middle, end in sorted(nodes):
-        if mask >> q & 1:
-            continue
-        small, large = ordered[start:middle], ordered[middle:end]
-        if len(small) > len(large):
-            small, large = large, small
-        seen = {p & mask for p in small}
-        for p in large:
-            if p & mask in seen:
-                mask |= 1 << q
+    pivots: set[int] = set()
+    for q in sorted(levels):
+        pairs: list[int] = []  # both profiles of each colliding pair
+        for start, middle, end in levels[q]:
+            small, large = ordered[start:middle], ordered[middle:end]
+            if len(small) > len(large):
+                small, large = large, small
+            seen = {p & mask: p for p in small}
+            for p in large:
+                if p & mask in seen:
+                    pairs += p, seen[p & mask]
+            if len(pairs) > 2:
                 break
-    return mask, False
+        if pairs:
+            mask |= 1 << q
+        if len(pairs) == 2:
+            pivots.update(pairs)
+    return mask, pivots
 
 
 def _table_mask(profiles, n: int) -> int:

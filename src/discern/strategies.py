@@ -106,21 +106,30 @@ def tag_partition(scheme: Scheme, tag_bits: int) -> tuple[tuple[int, ...], ...]:
     group then sits below the objective (the largest group dimension
     before the move).  The objective is an integer in [0, n] and every
     accepted move lowers it by at least 1, so the search accepts at most
-    n moves.  Three rules skip evaluations on the way to each verdict:
-    the move is rejected without evaluating anything when a group other
-    than ``src`` and ``dst`` already sits at the objective; the shrunken
-    ``src`` is evaluated once per unit and pass, before any grown ``dst``; and
-    ``dst`` is rejected unevaluated when ceil(log2 D) of its D distinct
-    profiles (one per unit) reaches the objective, since no mask of fewer
-    bits separates D profiles, exact or greedy.  Each rule only skips
-    evaluations whose result could not make the move win, so every
-    decision, and the partition, is the one a full evaluation of all
-    groups would give.  A rejected unit goes back to the end of ``src``,
-    the order in which a later pass tries it.  No group is emptied: a
-    one-unit group has dimension 0, so its unit leaves only for a ``dst``
-    that is the sole group at the objective and falls below it by
-    growing.  An exact dimension (n <= 16) never falls by growing; a
-    greedy one could, and a seeded-corpus test guards that.
+    n moves.  Five rules skip evaluations on the way to each verdict.  The
+    move is rejected without evaluating anything when a group other than
+    ``src`` and ``dst`` already sits at the objective.  An exact dimension
+    (n <= ``EXACT_SUBSET_LIMIT``) never falls when its group grows, so
+    while a group other than ``src`` sits at the objective no move out of
+    ``src`` can win, and ``src`` is passed over; a full turn of its units
+    would leave their order unchanged anyway.  The shrunken ``src`` is
+    evaluated once per unit and pass, before any grown ``dst``.  A greedy
+    shrunken ``src`` is evaluated only when the unit's profile is a pivot
+    of the one drop over ``src`` per pass (``matroid._greedy_drop``):
+    removing any other profile leaves the drop's mask, and so the
+    dimension of ``src``, unchanged.  And ``dst`` is rejected unevaluated
+    when ceil(log2 D) of its D distinct profiles (one per unit) reaches
+    the objective, since no mask of fewer bits separates D profiles,
+    exact or greedy.
+
+    Each rule only skips evaluations whose result could not make the move
+    win or is already known, so every decision, and the partition, is the
+    one a full evaluation of all groups would give.  A rejected unit goes
+    back to the end of ``src``, the order in which a later pass tries it.
+    No group is emptied: a one-unit group has dimension 0, so its unit
+    leaves only for a ``dst`` that is the sole group at the objective and
+    falls below it by growing.  An exact dimension never falls by
+    growing; a greedy one could, and a seeded-corpus test guards that.
     """
     if tag_bits < 0:
         raise ValueError("tag bits must be >= 0")
@@ -139,17 +148,28 @@ def tag_partition(scheme: Scheme, tag_bits: int) -> tuple[tuple[int, ...], ...]:
         if later and (placed >= (filled + 1) * k // block_count or len(units) - i == later):
             filled += 1
 
+    exact = scheme.n <= matroid.EXACT_SUBSET_LIMIT
+    profile_ints = scheme.profile_ints
+
     def move_once() -> bool:
         """Make the first trial move that leaves every group below the
         objective; False when there is none."""
         objective = max(dims)
         for src, group in enumerate(groups):
-            # A move can win only if no group but src and dst sits at the objective.
+            # A move can win only if no group but src and dst sits at the
+            # objective, and an exact dst at the objective cannot fall.
             besides = dims.count(objective) - (dims[src] == objective)
             targets = [dst for dst, dim in enumerate(dims) if dst != src and (dim == objective) == besides]
-            for unit in list(group) if targets else ():  # a full turn of the units keeps their order
+            if not targets or exact and besides:
+                continue
+            # Only removing a pivot of src's greedy drop can change its dimension.
+            pivots = None if exact else matroid._greedy_drop({profile_ints[u[0]] for u in group}, scheme.n)[1]
+            for unit in list(group):  # a full turn of the units keeps their order
                 group.remove(unit)
-                shrunk = _units_dimension(scheme, group)
+                if pivots is None or profile_ints[unit[0]] in pivots:
+                    shrunk = _units_dimension(scheme, group)
+                else:
+                    shrunk = dims[src]
                 for dst in targets if shrunk < objective else ():
                     grown = [*groups[dst], unit]
                     if (len(grown) - 1).bit_length() < objective:

@@ -4,7 +4,7 @@ Each case runs ``python -m discern.cli`` in a fresh process, with a wall
 clock timeout and an address-space limit (``RLIMIT_AS``) set on that child
 only.  Exit codes: 0 success, 2 a refused input, 3 a limit, 4 a property
 that fails.  A case that is still running at its timeout is a hang.  The known hangs are strict xfails
-until ROADMAP item 4's work budget ends them.
+until a work budget ends them (ROADMAP items 4 and 16).
 """
 import json
 import os
@@ -62,6 +62,8 @@ INPUTS = {
     "k1000n31.json": lambda: _random_injective(31, 1000, 31),
     "k1000n22.json": lambda: _random_injective(22, 1000, 22),
     "k1000n16.json": lambda: _random_injective(16, 1000, 16),
+    "k4000n16.json": lambda: _random_injective(16, 4000, 16),
+    "k16000n16.json": lambda: _random_injective(16, 16000, 16),
     "k20n16.json": lambda: _random_injective(16, 20, 16),
     "k24n20-sparse.json": lambda: _sparse_injective(3, 24, 20),
     "k40000-repeated-name.json": lambda: _last_name_repeats_the_first(40_000),
@@ -85,8 +87,8 @@ def _closure_exchange_fails(detail: str):
     return lambda doc: {c["name"]: c["detail"] for c in doc["checks"]}["closure-exchange"] == detail
 
 
-def _hang(reason: str):
-    return pytest.mark.xfail(strict=True, raises=subprocess.TimeoutExpired, reason=f"ROADMAP item 4: {reason}")
+def _hang(item: int, reason: str):
+    return pytest.mark.xfail(strict=True, raises=subprocess.TimeoutExpired, reason=f"ROADMAP item {item}: {reason}")
 
 
 # (argv with an INPUTS name, expected exit code, seconds, check of the JSON output)
@@ -136,6 +138,19 @@ CASES = [
         _error("LimitError"),
         id="dimension-k1000n31-exact-limit-31",
     ),
+    # The tag search at n = 16 (item 26's ladder).  Every evaluation is exact
+    # and writes about g^2 / 2 pairs.  At L = 1 both groups sit at the
+    # objective, so no src is evaluated; a search that evaluates them runs
+    # past a minute.  At L = 2 one group sits alone at the objective, and
+    # its 1,000 units are evaluated one by one: about 6 s on one shared
+    # x86-64 core, until item 16's budget.
+    pytest.param(
+        ["tradeoff", "k4000n16.json", "--tags", "1", "2", "3"],
+        0,
+        30,
+        lambda doc: [p["L"] for p in doc["tag_plans"]] == [1, 2, 3],
+        id="tradeoff-k4000n16-tags-1-2-3",
+    ),
     # No repetition count below MAX_REPETITIONS meets the per-node target.
     pytest.param(
         ["simulate-noise", "k20n16.json", "--eps", "0.4999", "--delta", "1e-12", "--trials", "10", "--seed", "1"],
@@ -150,7 +165,7 @@ CASES = [
         2,
         lambda doc: doc["exact"] is False,
         id="dimension-table1-exact-limit-50",
-        marks=_hang("the subset scan walks C(50, s) masks with no work budget"),
+        marks=_hang(4, "the subset scan walks C(50, s) masks with no work budget"),
     ),
     pytest.param(
         ["simulate-noise", "k20n16.json", "--eps", "0.1", "--delta", "0.01", "--seed", "1", "--trials", "2000000000"],
@@ -158,7 +173,15 @@ CASES = [
         2,
         _error("LimitError"),
         id="simulate-noise-2e9-trials",
-        marks=_hang("nothing bounds trials x depth draws"),
+        marks=_hang(4, "nothing bounds trials x depth draws"),
+    ),
+    pytest.param(
+        ["tradeoff", "k16000n16.json", "--tags", "1"],
+        0,
+        5,
+        lambda doc: [p["L"] for p in doc["tag_plans"]] == [1],
+        id="tradeoff-k16000n16-tags-1",
+        marks=_hang(16, "the sole group at the objective is evaluated unit by unit with no evaluation budget"),
     ),
 ]
 

@@ -675,6 +675,39 @@ def test_greedy_drop_one_hot_keeps_all_but_one():
     assert block_dimension(scheme, range(n), exact_limit=0) == n - 1
 
 
+def check_drop_pivots(profiles, n: int):
+    """The drop's mask is the literal drop's, and removing any profile
+    outside its pivots leaves the literal drop's mask unchanged."""
+    mask, pivots = matroid._greedy_drop(profiles, n)
+    assert mask == literal_greedy_mask(profiles, n)
+    assert pivots <= set(profiles)
+    for i, p in enumerate(profiles):
+        if p not in pivots:
+            assert literal_greedy_mask(profiles[:i] + profiles[i + 1:], n) == mask, p
+    return mask, pivots
+
+
+@settings(deadline=None)
+@given(wide_profile_sets())
+def test_greedy_drop_pivots_are_the_only_profiles_that_move_the_mask(case):
+    profiles, n = case
+    mask, pivots = check_drop_pivots(profiles, n)
+    # Every other profile repeated: the drop collapses copies first.
+    assert matroid._greedy_drop(profiles + profiles[::2], n) == (mask, pivots)
+
+
+def test_greedy_drop_pivots_on_one_hot_and_colliding_copies():
+    n = 120
+    one_hot = [1 << q for q in range(n)]
+    assert check_drop_pivots(one_hot, n)[0] == ((1 << n) - 1) ^ 1
+    rng = random.Random(41)
+    for n, g in ((20, 40), (50, 30), (70, 12)):
+        distinct = list(dict.fromkeys(rng.getrandbits(n) for _ in range(g)))
+        copies = [*distinct, *distinct[::3], *distinct[1::4]]
+        rng.shuffle(copies)
+        assert matroid._greedy_drop(copies, n) == check_drop_pivots(distinct, n)
+
+
 def test_block_dimension(s2):
     assert block_dimension(s2, []) == block_dimension(s2, [], exact_limit=0) == 0
     assert block_dimension(s2, [0]) == 0

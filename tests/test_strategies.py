@@ -43,6 +43,7 @@ from discern.trees import (
     optimal_decision_tree,
     walk,
 )
+from test_tradeoff import block_dimension_calls
 
 # Each consecutive pair differs in exactly one attribute, so the only minimal
 # distinguishing set is all four; an adaptive tree still identifies in three.
@@ -453,6 +454,28 @@ def test_pruned_tag_partition_matches_full_evaluation_at_scale():
         groups, moves, initial_objective = literal_tag_partition(scheme, L)
         assert tag_partition(scheme, L) == groups, L
         assert moves <= initial_objective, L
+
+
+def test_table1_search_evaluates_only_pivot_removals(monkeypatch):
+    # The L = 1 fill is already the answer.  Only removing a pivot of a
+    # group's greedy drop can change its dimension, so the search makes 24
+    # evaluations where evaluating every unit once per pass takes 1,012.
+    scheme = table1_scheme()
+    calls = block_dimension_calls(monkeypatch)
+    assert tag_partition(scheme, 1) == (tuple(range(500)), tuple(range(500, 1000)))
+    assert len(calls) == 24
+
+
+def test_exact_search_passes_over_a_src_while_another_group_sits_at_the_objective(monkeypatch):
+    # Both fill groups of this n = 16 scheme sit at the objective.  An exact
+    # dimension never falls when its group grows, so no move can win and
+    # the fill's two evaluations are the only ones.
+    scheme = random_injective_scheme(random.Random(16), 20, 16)
+    calls = block_dimension_calls(monkeypatch)
+    groups = tag_partition(scheme, 1)
+    assert sorted(calls, key=min) == [frozenset(g) for g in groups]
+    monkeypatch.undo()
+    assert [matroid.block_dimension(scheme, g) for g in groups] == [4, 4]
 
 
 def literal_exhaustive_best_dimension(scheme, block_limit):

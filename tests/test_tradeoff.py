@@ -185,7 +185,9 @@ def test_plan_computes_each_group_dimension_once(monkeypatch):
     calls = block_dimension_calls(monkeypatch)
     # The search evaluates only trial groups that can decide a move, and
     # the plan reads each final group of two or more classes once more.
-    for L, plan, count in zip((1, 2, 3), expected, (22, 4, 8)):
+    # At L = 1 both groups of this n = 16 scheme sit at the objective, so
+    # the search evaluates nothing past the fill.
+    for L, plan, count in zip((1, 2, 3), expected, (2, 4, 8)):
         calls.clear()
         assert hybrid_tag_plan(scheme, L) == plan
         assert len(set(calls)) == count
