@@ -30,7 +30,12 @@ def first_repeat(items):
 
 
 def first_not(items, types):
-    """The index of the first item not of ``types`` (a bool is never a number), or None."""
+    """The index of the first item not of ``types`` (a bool is never a number), or None.
+
+    Items whose types are all among ``types`` themselves pass in one C-speed
+    set check; only other items are walked one at a time."""
+    if {*map(type, items)} <= ({*types} if isinstance(types, tuple) else {types}):
+        return None
     return next((i for i, x in enumerate(items) if not isinstance(x, types) or isinstance(x, bool)), None)
 
 

@@ -47,6 +47,16 @@ still holds one without any single profile, and a level's only pair
 stays whole without a profile outside it.  So the tag search
 (``strategies.tag_partition``) knows, without evaluating it, the
 dimension of a group that loses a unit outside its pivots.
+
+A group that gains a profile x keeps its mask M whenever M separates x
+from the group, i.e. ``x & M`` differs from every ``p & M``: the exact
+search and the greedy drop both return M for the grown set.  Exact: every mask separating the grown
+set separates the old one, so none is smaller than M, and each
+numerically earlier mask of M's size already fails on the old set.
+Greedy: at each q both drops try the kept attributes below q plus all
+above q.  If the old drop removed q, that set contains M and separates
+the grown set too; if it kept q, the set already fails without x.  So
+the tag search also knows the mask of a group that gains such a unit.
 """
 from __future__ import annotations
 
@@ -394,15 +404,21 @@ def distinguishing_dimension(scheme: Scheme, exact_limit: int = EXACT_SUBSET_LIM
     return DimensionResult(dimension=mask.bit_count(), exact=exact, witness=frozenset(_bit_indices(mask)))
 
 
-def block_dimension(scheme: Scheme, members, exact_limit: int = EXACT_SUBSET_LIMIT) -> int:
-    """Distinguishing dimension restricted to one group of classes.
+def block_mask(scheme: Scheme, members, exact_limit: int = EXACT_SUBSET_LIMIT) -> int:
+    """A smallest mask separating one group of classes.
 
-    Duplicate profiles inside the group are collapsed first, so the value
+    Duplicate profiles inside the group are collapsed first, so the mask
     is defined even when the group contains colliding classes (it then
-    measures what queries can still separate).  Up to ``exact_limit``
-    attributes the value is the exact minimum; above it, the size of the
-    ascending greedy drop; both come from the search behind
+    separates what queries can still separate).  Up to ``exact_limit``
+    attributes it is the numerically first mask of minimum size; above
+    it, the ascending greedy drop's mask; both come from the search behind
     ``distinguishing_dimension``.
     """
     profiles = {scheme.profile_ints[c] for c in members}
-    return _smallest_separating_mask(profiles, scheme.n, exact_limit)[0].bit_count()
+    return _smallest_separating_mask(profiles, scheme.n, exact_limit)[0]
+
+
+def block_dimension(scheme: Scheme, members, exact_limit: int = EXACT_SUBSET_LIMIT) -> int:
+    """Distinguishing dimension restricted to one group of classes: the
+    size of its ``block_mask``, exact up to ``exact_limit`` attributes."""
+    return block_mask(scheme, members, exact_limit).bit_count()

@@ -84,6 +84,8 @@ class Scheme:
         attributes = tuple(attributes)
         if len(names) < 1:
             raise ValidationError("scheme needs at least one class", "classes")
+        # Each rule runs one C-speed set or map pass (``first_not`` too);
+        # only a failing one walks its items for the first fault.
         if (bad := first_not(attributes, str)) is not None:
             raise ValidationError("attribute name must be a string", f"attributes[{bad}]")
         if len(set(attributes)) != len(attributes):
@@ -93,18 +95,20 @@ class Scheme:
         if len(set(names)) != len(names):
             raise ValidationError(f"duplicate class name {first_repeat(names)!r}", "classes")
         n = len(attributes)
-        for i, length in enumerate(profile_lengths):
-            if length != n:
-                raise ValidationError(f"profile has length {length}, expected {n}", f"classes[{i}].profile")
-        masses = tuple(1.0 / len(names) for _ in names) if masses is None else tuple(masses)
+        if not {*profile_lengths} <= {n}:
+            for i, length in enumerate(profile_lengths):
+                if length != n:
+                    raise ValidationError(f"profile has length {length}, expected {n}", f"classes[{i}].profile")
+        masses = (1.0 / len(names),) * len(names) if masses is None else tuple(masses)
         if len(masses) != len(names):
             raise ValidationError(f"got {len(masses)} masses for {len(names)} classes", "masses")
-        # Plain floats pass in one C-speed set check.
-        if not {*map(type, masses)} <= {float} and (bad := first_not(masses, (int, float))) is not None:
+        if (bad := first_not(masses, (int, float))) is not None:
             raise ValidationError("mass must be a number", f"masses[{bad}]")
-        for i, m in enumerate(masses):
-            if not _float_mass(m, i) >= 0:  # NaN fails too
-                raise ValidationError(f"mass must be nonnegative, got {m}", f"masses[{i}]")
+        # Every float fits, and NaN fails the comparison too; an int may not fit.
+        if not ({*map(type, masses)} <= {float} and all(map((0.0).__le__, masses))):
+            for i, m in enumerate(masses):
+                if not _float_mass(m, i) >= 0:
+                    raise ValidationError(f"mass must be nonnegative, got {m}", f"masses[{i}]")
         total = sum(masses)
         if not abs(total - 1) <= MASS_SUM_TOLERANCE:  # an integer total is compared exactly
             raise ValidationError(f"masses sum to {total}, expected 1", "masses")
@@ -207,11 +211,14 @@ def profile_of(scheme: Scheme, class_index: int) -> Profile:
     return scheme.classes[scheme.check_class(class_index)].profile
 
 
-def _classes(entries: list) -> tuple[tuple[str, ...], bytes, list[int]]:
+def _classes(entries: list, bools: bool) -> tuple[tuple[str, ...], bytes, list[int]]:
     """Class names, 0/1 answers and profile lengths of the class entries,
     proven well formed by a few whole-document passes (the lengths are left
-    to ``Scheme._validate``).  Entries the passes refuse are walked one at
-    a time, only to raise the first fault in their shape or bits."""
+    to ``Scheme._validate``).  ``bytes`` refuses every bit that is not an
+    int but takes a bool as 0 or 1, so the bits' types are read only when
+    ``bools`` says the document may hold one.  Entries the passes refuse
+    are walked one at a time, only to raise the first fault in their shape
+    or bits."""
     try:
         if {*map(type, entries)} <= {dict}:
             names = tuple(map(itemgetter("name"), entries))
@@ -219,12 +226,12 @@ def _classes(entries: list) -> tuple[tuple[str, ...], bytes, list[int]]:
             if (
                 {*map(type, names)} <= {str}
                 and {*map(type, rows)} <= {list}
-                and {*map(type, chain.from_iterable(rows))} <= {int}
+                and (not bools or {*map(type, chain.from_iterable(rows))} <= {int})
                 # Deleting every 0 and 1 byte leaves nothing only if every bit is 0 or 1.
                 and not (answers := b"".join(map(bytes, rows))).translate(None, b"\0\1")
             ):
                 return names, answers, [*map(len, rows)]
-    except (KeyError, ValueError):  # a missing key; a bit outside 0..255
+    except (KeyError, TypeError, ValueError):  # a missing key; a bit that is no int, or outside 0..255
         pass
     for i, entry in enumerate(entries):
         expect(isinstance(entry, dict), "class entry must be an object", f"classes[{i}]")
@@ -273,14 +280,18 @@ def parse_scheme(text: str, renormalize: bool = False) -> Scheme:
 
     raw_classes = doc["classes"]
     expect(isinstance(raw_classes, list), "must be an array", "classes")
-    names, answers, lengths = _classes(raw_classes)
+    # A JSON bool comes only from a literal true or false in the text.
+    names, answers, lengths = _classes(raw_classes, "true" in text or "false" in text)
 
     masses = None
     if "masses" in doc:
         raw_masses = doc["masses"]
         expect(isinstance(raw_masses, list), "must be an array", "masses")
         expect_each(raw_masses, (int, float), "mass must be a number", "masses")
-        masses = tuple(_float_mass(m, i) for i, m in enumerate(raw_masses))
+        try:
+            masses = tuple(map(float, raw_masses))
+        except OverflowError:  # an integer too large; walked for its index
+            masses = tuple(_float_mass(m, i) for i, m in enumerate(raw_masses))
         if renormalize and masses:
             total = sum(masses)
             if total <= 0:

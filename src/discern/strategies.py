@@ -83,10 +83,10 @@ def _profile_units(scheme: Scheme) -> list[tuple[int, ...]]:
     return sorted(scheme.quotient, key=lambda b: scheme.row(b[0]))
 
 
-def _units_dimension(scheme: Scheme, units) -> int:
-    """``block_dimension`` of the classes in ``units``; one class needs no query."""
+def _units_mask(scheme: Scheme, units) -> int:
+    """``block_mask`` of the classes in ``units``; one class needs no query."""
     members = [c for unit in units for c in unit]
-    return matroid.block_dimension(scheme, members) if len(members) > 1 else 0
+    return matroid.block_mask(scheme, members) if len(members) > 1 else 0
 
 
 def tag_partition(scheme: Scheme, tag_bits: int) -> tuple[tuple[int, ...], ...]:
@@ -98,29 +98,34 @@ def tag_partition(scheme: Scheme, tag_bits: int) -> tuple[tuple[int, ...], ...]:
     profile, fill min(2**tag_bits, units) groups in order: a group closes
     once the classes placed so far reach its cumulative share of k, or
     when one unit is left per later group.  A move-based local search then
-    balances the per-group distinguishing dimension.  It keeps one block
-    dimension per current group; a trial group's dimension is kept only
+    balances the per-group distinguishing dimension.  It keeps one
+    separating mask per current group (``matroid.block_mask``), whose
+    size is the group's dimension; a trial group's mask is kept only
     while its move is decided.
 
     A trial move of one unit from ``src`` to ``dst`` is accepted iff every
     group then sits below the objective (the largest group dimension
     before the move).  The objective is an integer in [0, n] and every
     accepted move lowers it by at least 1, so the search accepts at most
-    n moves.  Five rules skip evaluations on the way to each verdict.  The
+    n moves.  Six rules skip evaluations on the way to each verdict.  The
     move is rejected without evaluating anything when a group other than
     ``src`` and ``dst`` already sits at the objective.  An exact dimension
     (n <= ``EXACT_SUBSET_LIMIT``) never falls when its group grows, so
     while a group other than ``src`` sits at the objective no move out of
     ``src`` can win, and ``src`` is passed over; a full turn of its units
-    would leave their order unchanged anyway.  The shrunken ``src`` is
-    evaluated once per unit and pass, before any grown ``dst``.  A greedy
-    shrunken ``src`` is evaluated only when the unit's profile is a pivot
-    of the one drop over ``src`` per pass (``matroid._greedy_drop``):
-    removing any other profile leaves the drop's mask, and so the
-    dimension of ``src``, unchanged.  And ``dst`` is rejected unevaluated
-    when ceil(log2 D) of its D distinct profiles (one per unit) reaches
-    the objective, since no mask of fewer bits separates D profiles,
-    exact or greedy.
+    would leave their order unchanged anyway.  Each unit screens every
+    ``dst`` before anything is evaluated.  A ``dst`` whose mask separates
+    the unit's profile from its own keeps that mask when it grows (the
+    grown-group lemma in ``matroid``), so its grown dimension is known.
+    Any other ``dst`` is rejected unevaluated when ceil(log2 D) of its D
+    distinct profiles (one per unit) reaches the objective, since no mask
+    of fewer bits separates D profiles, exact or greedy.  The shrunken
+    ``src`` is evaluated only when some ``dst`` can still win, once per
+    unit and pass, before any grown ``dst``.  A greedy shrunken ``src`` is
+    evaluated only when the unit's profile is a pivot of the drop over
+    ``src``, run at most once per pass (``matroid._greedy_drop``):
+    removing any other profile leaves the drop's mask, and so the mask of
+    ``src``, unchanged.
 
     Each rule only skips evaluations whose result could not make the move
     win or is already known, so every decision, and the partition, is the
@@ -154,6 +159,7 @@ def tag_partition(scheme: Scheme, tag_bits: int) -> tuple[tuple[int, ...], ...]:
     def move_once() -> bool:
         """Make the first trial move that leaves every group below the
         objective; False when there is none."""
+        dims = [mask.bit_count() for mask in masks]
         objective = max(dims)
         for src, group in enumerate(groups):
             # A move can win only if no group but src and dst sits at the
@@ -162,25 +168,35 @@ def tag_partition(scheme: Scheme, tag_bits: int) -> tuple[tuple[int, ...], ...]:
             targets = [dst for dst, dim in enumerate(dims) if dst != src and (dim == objective) == besides]
             if not targets or exact and besides:
                 continue
-            # Only removing a pivot of src's greedy drop can change its dimension.
-            pivots = None if exact else matroid._greedy_drop({profile_ints[u[0]] for u in group}, scheme.n)[1]
+            # Each target's profiles projected onto its mask, to screen units.
+            projected = {dst: {profile_ints[u[0]] & masks[dst] for u in groups[dst]} for dst in targets}
+            pivots = None  # of src's greedy drop, drawn when first needed
             for unit in list(group):  # a full turn of the units keeps their order
                 group.remove(unit)
-                if pivots is None or profile_ints[unit[0]] in pivots:
-                    shrunk = _units_dimension(scheme, group)
-                else:
-                    shrunk = dims[src]
-                for dst in targets if shrunk < objective else ():
-                    grown = [*groups[dst], unit]
-                    if (len(grown) - 1).bit_length() < objective:
-                        grown_dim = _units_dimension(scheme, grown)
-                        if grown_dim < objective:
-                            groups[dst], dims[src], dims[dst] = grown, shrunk, grown_dim
+                x = profile_ints[unit[0]]
+                open_targets = []  # (dst, its grown mask, or None to evaluate it)
+                for dst in targets:
+                    if x & masks[dst] not in projected[dst]:  # the grown dst keeps its mask
+                        if dims[dst] < objective:
+                            open_targets.append((dst, masks[dst]))
+                    elif len(groups[dst]).bit_length() < objective:  # ceil(log2) of the grown units
+                        open_targets.append((dst, None))
+                if open_targets:
+                    # Only removing a pivot of src's greedy drop can change its dimension.
+                    if not exact and pivots is None:
+                        pivots = matroid._greedy_drop({x, *(profile_ints[u[0]] for u in group)}, scheme.n)[1]
+                    shrunk = _units_mask(scheme, group) if exact or x in pivots else masks[src]
+                    for dst, grown_mask in open_targets if shrunk.bit_count() < objective else ():
+                        grown = [*groups[dst], unit]
+                        if grown_mask is None:
+                            grown_mask = _units_mask(scheme, grown)
+                        if grown_mask.bit_count() < objective:
+                            groups[dst], masks[src], masks[dst] = grown, shrunk, grown_mask
                             return True
                 group.append(unit)
         return False
 
-    dims = [_units_dimension(scheme, g) for g in groups]
+    masks = [_units_mask(scheme, g) for g in groups]
     while move_once():
         pass
 
@@ -233,7 +249,7 @@ def hybrid_tag_plan(scheme: Scheme, L: int) -> TagPlan:
     def dimension(units) -> int:
         members = frozenset(c for unit in units for c in unit)
         if members not in memo:
-            memo[members] = _units_dimension(scheme, units)
+            memo[members] = _units_mask(scheme, units).bit_count()
         return memo[members]
 
     plan_dim = max(dimension([g]) for g in groups)

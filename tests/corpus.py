@@ -39,14 +39,18 @@ def random_injective_scheme(rng: random.Random, k: int, n: int, with_masses: boo
     return scheme_from_profiles(sorted(seen), masses)
 
 
-def random_colliding_scheme(rng: random.Random, k: int, n: int, with_masses: bool = False) -> Scheme:
-    """At least one pair of classes shares a profile (k >= 2)."""
+def random_colliding_scheme(
+    rng: random.Random, k: int, n: int, with_masses: bool = False, copies: int = 1
+) -> Scheme:
+    """At least one pair of classes shares a profile (k >= 2): each of
+    ``copies`` draws copies one class's profile onto another class."""
     profiles = [tuple(rng.randint(0, 1) for _ in range(n)) for _ in range(k)]
-    src = rng.randrange(k)
-    dst = rng.randrange(k)
-    while dst == src:
+    for _ in range(copies):
+        src = rng.randrange(k)
         dst = rng.randrange(k)
-    profiles[dst] = profiles[src]
+        while dst == src:
+            dst = rng.randrange(k)
+        profiles[dst] = profiles[src]
     masses = random_masses(rng, k) if with_masses else None
     return scheme_from_profiles(profiles, masses)
 

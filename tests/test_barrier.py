@@ -100,7 +100,7 @@ def test_capacity_dichotomy():
 def test_colliding_generator_always_collides():
     rng = random.Random(44)
     for _ in range(30):
-        scheme = random_colliding_scheme(rng, rng.randint(2, 7), rng.randint(1, 5))
+        scheme = random_colliding_scheme(rng, rng.randint(2, 7), rng.randint(1, 5), copies=rng.randint(1, 3))
         assert not collisions(scheme).injective
 
 

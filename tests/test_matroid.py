@@ -22,6 +22,7 @@ from discern.matroid import (
     SUBSET_TABLE_LIMIT,
     _to_mask,
     block_dimension,
+    block_mask,
     closure,
     closure_table,
     distinguishing_dimension,
@@ -661,6 +662,46 @@ def test_exact_block_dimension_of_colliding_groups_matches_the_scan(monkeypatch)
         distinct = list({profile_ints[c] for c in members})
         assert block_dimension(scheme, members) == literal_scan_mask(distinct, 16)[0].bit_count()
     assert reads
+
+
+def check_grown_group(profiles, x: int, n: int, exact_limit: int, literal) -> bool:
+    """``block_mask`` of distinct ``profiles`` (half of them copied) is the
+    literal engine's mask M.  When M separates x from them, M is the mask
+    of the group grown by x (copied too), literally and by ``block_mask``.
+    Returns whether M separates x."""
+    scheme = scheme_from_profiles(rows_of([*profiles, *profiles[::2], x, x], n))
+    old = range(len(profiles) + len(profiles[::2]))
+    mask = block_mask(scheme, old, exact_limit)
+    assert mask == literal(profiles, n)
+    separated = x & mask not in {p & mask for p in profiles}
+    if separated:
+        assert literal([*profiles, x], n) == mask == block_mask(scheme, range(scheme.k), exact_limit)
+    return separated
+
+
+@pytest.mark.parametrize("g, engine", [(1, "scan"), (2, "scan"), (9, "scan"), (24, "table"), (53, "table")])
+def test_a_grown_group_keeps_an_exact_mask_that_separates_its_new_profile(monkeypatch, g, engine):
+    reads = count_table_reads(monkeypatch)
+    rng = random.Random(g)
+    verdicts = set()
+    for _ in range(3):
+        profiles = rng.sample(range(1 << 16), g)
+        for x in [*(rng.getrandbits(16) for _ in range(3)), rng.choice(profiles)]:
+            verdicts.add(check_grown_group(profiles, x, 16, 16, lambda ps, n: literal_scan_mask(ps, n)[0]))
+    # One or two profiles fill every projection their mask has room for.
+    assert verdicts == ({True, False} if g > 2 else {False})
+    assert bool(reads) == (engine == "table")
+
+
+@settings(deadline=None)
+@given(wide_profile_sets(), st.integers(0, (1 << 80) - 1))
+def test_a_grown_group_keeps_a_greedy_mask_that_separates_its_new_profile(case, x_bits):
+    profiles, n = case
+    x = x_bits >> (80 - n)
+    check_grown_group(profiles, x, n, 0, literal_greedy_mask)
+    # A profile that differs from a member only outside the mask is not separated.
+    mask = literal_greedy_mask(profiles, n)
+    assert not check_grown_group(profiles, profiles[0] ^ (x & ~mask), n, 0, literal_greedy_mask)
 
 
 def test_greedy_drop_one_hot_keeps_all_but_one():

@@ -268,6 +268,9 @@ def test_every_pair_of_faults_is_reported_as_the_reference_parser_does():
         '{"attributes": [], "classes": [{"name": "A", "profile": []}], "masses": [1e400]}',
         '{"attributes": [], "classes": [{"name": "A", "profile": []}], "masses": [%s]}' % (10**400),
         '{"attributes": [], "classes": [{"name": "A", "profile": []}]}',
+        # The text holds "true" in a name; the bits are read for a bool anyway.
+        '{"attributes": ["p"], "classes": [{"name": "true", "profile": [0]}, {"name": "B", "profile": [false]}]}',
+        '{"attributes": ["p"], "classes": [{"name": "true", "profile": [0]}, {"name": "B", "profile": [1]}]}',
     ],
 )
 def test_document_faults_are_reported_as_the_reference_parser_does(text):

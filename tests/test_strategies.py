@@ -422,22 +422,35 @@ def literal_tag_partition(scheme, tag_bits):
     return tuple(tuple(g) for g in sorted(final, key=lambda g: g[0])), moves, initial_objective
 
 
+def hybrid_shapes(n: int):
+    """(scheme, L) for the hybrid benchmark's tag searches, over a few
+    seeds: injective k = 20 at n = 16 for L = 1-3, and k = 100 with ten
+    profile copies at n = 50 for L = 1 and 2."""
+    for seed in range(8):
+        if n == 16:
+            yield from ((random_injective_scheme(random.Random(seed), 20, 16), L) for L in (1, 2, 3))
+        elif n == 50:
+            yield from ((random_colliding_scheme(random.Random(seed), 100, 50, copies=10), L) for L in (1, 2))
+
+
 @pytest.mark.parametrize("n", [8, 16, 50])
 def test_pruned_tag_partition_matches_full_evaluation(n):
     # n = 8 and 16 take the exact block dimension, n = 50 the greedy drop.
     # Every accepted move lowers the objective, so the search stops by
     # itself after at most the initial objective's worth of moves.
     rng = random.Random(n)
+    cases = []
     for i in range(6):
         k = rng.randint(2, 60)
         if i % 2:
             scheme = random_colliding_scheme(rng, k, n)
         else:
             scheme = random_injective_scheme(rng, k, n)
-        for L in range(5):
-            groups, moves, initial_objective = literal_tag_partition(scheme, L)
-            assert tag_partition(scheme, L) == groups, (i, L)
-            assert moves <= initial_objective, (i, L)
+        cases += ((scheme, L) for L in range(5))
+    for i, (scheme, L) in enumerate([*cases, *hybrid_shapes(n)]):
+        groups, moves, initial_objective = literal_tag_partition(scheme, L)
+        assert tag_partition(scheme, L) == groups, (i, L)
+        assert moves <= initial_objective, (i, L)
 
 
 def test_pruned_tag_partition_matches_full_evaluation_past_the_first_move():
@@ -457,13 +470,32 @@ def test_pruned_tag_partition_matches_full_evaluation_at_scale():
 
 
 def test_table1_search_evaluates_only_pivot_removals(monkeypatch):
-    # The L = 1 fill is already the answer.  Only removing a pivot of a
-    # group's greedy drop can change its dimension, so the search makes 24
-    # evaluations where evaluating every unit once per pass takes 1,012.
+    # The L = 1 fill is already the answer, both groups at the objective.
+    # Only removing a pivot of a group's greedy drop can lower it, and the
+    # other group's mask separates every pivot, so that group would keep
+    # its mask and stay at the objective: the fill's 2 evaluations are the
+    # only ones.  Evaluating each pivot removal and then the grown group
+    # took 24, and evaluating every unit once per pass 1,012.
     scheme = table1_scheme()
     calls = block_dimension_calls(monkeypatch)
     assert tag_partition(scheme, 1) == (tuple(range(500)), tuple(range(500, 1000)))
-    assert len(calls) == 24
+    assert len(calls) == 2
+
+
+def test_colliding_search_reads_grown_groups_from_their_masks(monkeypatch):
+    # The hybrid benchmark's colliding shape, k = 100 with ten profile
+    # copies at n = 50.  A target whose mask separates the moved unit keeps
+    # that mask, and the shrunken src is evaluated only when some target can
+    # still win: 22 evaluations at L = 1 and 14 at L = 2, where evaluating
+    # each pivot removal and then every grown target took 99 and 57.
+    scheme = random_colliding_scheme(random.Random(3), 100, 50, copies=10)
+    calls = block_dimension_calls(monkeypatch)
+    counts = []
+    for L in (1, 2):
+        calls.clear()
+        tag_partition(scheme, L)
+        counts.append(len(calls))
+    assert counts == [22, 14]
 
 
 def test_exact_search_passes_over_a_src_while_another_group_sits_at_the_objective(monkeypatch):

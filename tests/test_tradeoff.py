@@ -167,15 +167,16 @@ def test_greedy_plan_never_worse_than_exhaustive():
 
 
 def block_dimension_calls(monkeypatch) -> list:
-    """Record the member set of every ``matroid.block_dimension`` call."""
+    """Record the member set of every group evaluation: each
+    ``matroid.block_mask`` call, ``block_dimension``'s included."""
     calls = []
-    original = matroid.block_dimension
+    original = matroid.block_mask
 
     def counting(scheme, members, *args, **kwargs):
         calls.append(frozenset(members))
         return original(scheme, members, *args, **kwargs)
 
-    monkeypatch.setattr(matroid, "block_dimension", counting)
+    monkeypatch.setattr(matroid, "block_mask", counting)
     return calls
 
 
