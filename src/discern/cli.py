@@ -21,7 +21,10 @@ import argparse
 import dataclasses
 import sys
 
-from . import __version__, barrier, checks, matroid, noisy, resolver, tradeoff
+# Every other module is imported by the builder or option function that
+# uses it, so a command loads only what it runs.
+from . import __version__
+from . import trees  # eager while it has lru_caches: perfbench clears those of the modules loaded at its start
 from .errors import (
     BarrierError,
     ConfigError,
@@ -32,7 +35,6 @@ from .errors import (
     encode_json,
 )
 from .scheme import Scheme, load_scheme, serialize_scheme
-from .strategies import KINDS, StrategyDescriptor, identify, identify_all, tag_bits_for
 
 USAGE_EXIT = 1
 DATA_EXIT = 2
@@ -45,6 +47,8 @@ class UsageError(Exception):
 
 
 def _analyze_doc(scheme: Scheme, args) -> dict:
+    from . import barrier
+
     report = barrier.collisions(scheme)
     capacity = barrier.identification_capacity(scheme)
     names = scheme.class_names
@@ -60,11 +64,15 @@ def _analyze_doc(scheme: Scheme, args) -> dict:
 
 
 def _dimension_doc(scheme: Scheme, args) -> dict:
+    from . import matroid
+
     result = matroid.distinguishing_dimension(scheme, exact_limit=args.exact_limit)
     return {"dimension": result.dimension, "exact": result.exact}
 
 
 def _bases_doc(scheme: Scheme, args) -> dict:
+    from . import matroid
+
     report = matroid.enumerate_minimal_distinguishing(scheme, max_n=args.max_n)
     names = scheme.attributes
     return {
@@ -76,11 +84,13 @@ def _bases_doc(scheme: Scheme, args) -> dict:
     }
 
 
-def _point_doc(point: tradeoff.TradeoffPoint) -> dict:
+def _point_doc(point) -> dict:
     return {"L": point.L, "W": point.W, "D": point.D, "strategy": point.source.kind}
 
 
 def _tradeoff_doc(scheme: Scheme, args) -> dict:
+    from . import tradeoff
+
     tags = args.tags or ()
     points = tradeoff.achievable_points(scheme, hybrid_tags=tags)
     frontier = tradeoff.pareto_frontier(points)
@@ -114,6 +124,8 @@ def _transcript_doc(scheme: Scheme, transcript) -> dict:
 
 
 def _simulate_doc(scheme: Scheme, args) -> dict:
+    from .strategies import StrategyDescriptor, identify, identify_all, tag_bits_for
+
     kind, tag_bits, class_name = args.strategy, args.tags, args.class_name
     if tag_bits is None:
         if kind == "hybrid":
@@ -140,14 +152,16 @@ def _simulate_doc(scheme: Scheme, args) -> dict:
     }
 
 
-def _noise_row(scheme: Scheme, simulate, epsilon: float, args) -> dict:
+def _noise_row(scheme: Scheme, epsilon: float, args, tagged: bool = False) -> dict:
+    from . import noisy
+
+    simulate = noisy.simulate_tagged if tagged else noisy.simulate_noisy_identification
     result = simulate(scheme, noisy.NoiseConfig(epsilon, args.delta, args.trials, args.seed))
     return {"epsilon": epsilon, "delta": args.delta, "trials": args.trials, **dataclasses.asdict(result)}
 
 
 def _simulate_noise_doc(scheme: Scheme, args) -> dict:
-    simulate = noisy.simulate_tagged if args.tagged else noisy.simulate_noisy_identification
-    return {"results": [_noise_row(scheme, simulate, eps, args) for eps in args.eps]}
+    return {"results": [_noise_row(scheme, eps, args, args.tagged) for eps in args.eps]}
 
 
 def _csv(rows, fields) -> str:
@@ -158,6 +172,8 @@ def _csv(rows, fields) -> str:
 
 
 def _resolve_doc(path: str, with_trace: bool, strict: bool) -> dict:
+    from . import resolver
+
     with open(path, encoding="utf-8") as handle:
         scenario, obj, lazy = resolver.parse_scenario(handle.read())
     trace: list = []
@@ -180,6 +196,8 @@ def _resolve_doc(path: str, with_trace: bool, strict: bool) -> dict:
 
 
 def _check_doc(scheme: Scheme, args) -> dict:
+    from . import checks
+
     outcomes = checks.check_scheme(scheme, closure_limit=args.closure_limit)
     return {
         "ok": all(o.ok for o in outcomes),
@@ -201,7 +219,7 @@ def _report_doc(scheme: Scheme, args) -> dict:
     sections["tradeoff"] = _tradeoff_doc(scheme, args)
     if args.seed is not None:
         try:
-            sections["noise"] = _noise_row(scheme, noisy.simulate_noisy_identification, args.eps, args)
+            sections["noise"] = _noise_row(scheme, args.eps, args)
         except BarrierError as exc:
             sections["noise"] = {"skipped": str(exc)}
     if args.scenario is not None:
@@ -234,10 +252,14 @@ def _render_pretty(doc, indent: str = "") -> str:
 
 
 def _dimension_options(cmd):
+    from . import matroid
+
     cmd.add_argument("--exact-limit", type=int, default=matroid.EXACT_SUBSET_LIMIT)
 
 
 def _bases_options(cmd):
+    from . import matroid
+
     cmd.add_argument("--max-n", type=int, default=matroid.EXACT_SUBSET_LIMIT)
 
 
@@ -253,6 +275,8 @@ def _tradeoff_options(cmd):
 
 
 def _simulate_options(cmd):
+    from .strategies import KINDS
+
     cmd.add_argument("--strategy", required=True, choices=KINDS)
     cmd.add_argument("--tags", type=int, help="tag bits: the hybrid width; nominal needs ceil(log2 k)")
     cmd.add_argument("--class", dest="class_name", help="limit to one class by name")
@@ -274,10 +298,14 @@ def _resolve_options(cmd):
 
 
 def _check_options(cmd):
+    from . import checks
+
     cmd.add_argument("--closure-limit", type=int, default=checks.CLOSURE_CHECK_LIMIT)
 
 
 def _report_options(cmd):
+    from . import matroid
+
     cmd.add_argument("--seed", type=int, help="enables the noise section")
     cmd.add_argument("--tags", type=int, nargs="+")
     cmd.add_argument("--eps", type=float, default=0.1)

@@ -117,10 +117,12 @@ def simulate_noisy_identification(scheme: Scheme, cfg: NoiseConfig) -> NoiseResu
     Deterministic for a fixed (scheme, cfg): the seed drives a Philox
     counter-based generator, and the draws come in a fixed order.  Trials
     run in blocks of at most ``BLOCK_TRIALS``.  Each block draws the true
-    class of all its trials with one ``choice``; then, one level of the
-    tree's node arrays at a time, one uniform per trial at an internal node,
-    which moves to the child of the true bit, inverted when the uniform is
-    below ``majority_error(reps, epsilon)``, the exact chance of a wrong majority.
+    class of each trial as one uniform searched in the masses' cumulative
+    sums, which is ``Generator.choice``'s own algorithm, so the stream rests
+    on ``Generator.random`` alone; then, one level of the tree's node arrays
+    at a time, one uniform per trial at an internal node, which moves to the
+    child of the true bit, inverted when the uniform is below
+    ``majority_error(reps, epsilon)``, the exact chance of a wrong majority.
     """
     import numpy as np
     if not collisions(scheme).injective:
@@ -132,6 +134,8 @@ def simulate_noisy_identification(scheme: Scheme, cfg: NoiseConfig) -> NoiseResu
     rng = np.random.Generator(np.random.Philox(cfg.seed))
     masses = np.asarray(scheme.masses)
     masses = masses / masses.sum()
+    cdf = masses.cumsum()
+    cdf /= cdf[-1]
     # The node tuples as arrays: ``leaf`` is -1 at an internal node.
     attribute, child, leaf = np.array([
         (q, first, -1) if leaf is None else (0, 0, leaf[0])
@@ -141,7 +145,7 @@ def simulate_noisy_identification(scheme: Scheme, cfg: NoiseConfig) -> NoiseResu
     total_queries = 0
     errors = 0
     for start in range(0, cfg.trials, BLOCK_TRIALS):
-        truth = rng.choice(scheme.k, size=min(BLOCK_TRIALS, cfg.trials - start), p=masses)
+        truth = cdf.searchsorted(rng.random(min(BLOCK_TRIALS, cfg.trials - start)), side="right")
         node = np.zeros(truth.size, dtype=np.intp)
         active = np.flatnonzero(leaf[node] < 0)
         while active.size:

@@ -1,6 +1,7 @@
 import argparse
 import dataclasses
 import gc
+import importlib
 import json
 import os
 import random
@@ -785,13 +786,34 @@ def test_running_out_of_memory_is_a_limit_error(capsys, monkeypatch, fixtures_di
 
 
 # Run in a fresh interpreter: which of these modules ``import discern.cli``
-# loads itself, the exit code, and whether the command then loaded NumPy.
+# loads itself, which ``discern`` modules it loads, the exit code, the
+# ``discern`` modules the command then added, and whether it loaded NumPy.
 START_UP_PROBE = (
     "import json, sys; before = set(sys.modules); from discern import cli; "
-    "loaded = sorted({'numpy', 'hashlib', 'logging'} & set(sys.modules) - before); "
+    "after = set(sys.modules); "
+    "loaded = sorted({'numpy', 'hashlib', 'logging'} & after - before); "
+    "ours = lambda names: sorted(m for m in names if m.partition('.')[0] == 'discern'); "
     "code = cli.run(sys.argv[1:]); "
-    "print(json.dumps([loaded, code, 'numpy' in sys.modules]), file=sys.stderr)"
+    "print(json.dumps([loaded, ours(after), code, ours(set(sys.modules) - after), 'numpy' in sys.modules]), "
+    "file=sys.stderr)"
 )
+
+# ``import discern.cli`` loads these alone (its ``trees`` import says why
+# ``trees`` is among them), and each command adds its own modules in its
+# builder and option functions, so a module-level import of any other in
+# ``cli`` fails here.
+CLI_MODULES = ["discern", "discern.cli", "discern.errors", "discern.scheme", "discern.trees"]
+COMMAND_MODULES = {
+    "analyze": ["barrier"],
+    "dimension": ["barrier", "matroid"],
+    "bases": ["barrier", "matroid"],
+    "tradeoff": ["barrier", "matroid", "strategies", "tradeoff"],
+    "simulate": ["barrier", "matroid", "strategies"],
+    "simulate-noise": ["barrier", "noisy"],
+    "resolve": ["resolver"],
+    "check": ["barrier", "checks", "matroid", "strategies"],
+    "report": ["barrier", "matroid", "noisy", "resolver", "strategies", "tradeoff"],
+}
 
 
 @pytest.fixture(scope="module")
@@ -812,6 +834,10 @@ def table1_path(tmp_path_factory):
         (["simulate", "{table1}", "--strategy", "nominal"], 0, False),
         (["tradeoff", "{fixtures}/s2.json"], 0, False),  # exact trees only
         (["tradeoff", "{table1}"], 0, True),  # the greedy tree's level arrays
+        (["bases", "{fixtures}/s2.json"], 0, True),
+        (["simulate-noise", "{table1}", "--eps", "0.1", "--delta", "0.01", "--trials", "50", "--seed", "1"], 0, True),
+        (["check", "{fixtures}/s2.json"], 0, True),
+        (["report", "{fixtures}/s2.json", "--seed", "1", "--scenario", "{fixtures}/scenario1.json"], 0, True),
     ],
     ids=lambda value: " ".join(value) if isinstance(value, list) else None,
 )
@@ -824,12 +850,67 @@ def test_start_up_loads_numpy_only_for_array_work(
         [sys.executable, "-c", START_UP_PROBE, *argv],
         env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=60,
     )
-    loaded, code, numpy_loaded = json.loads(done.stderr.splitlines()[-1])
+    loaded, cli_modules, code, added, numpy_loaded = json.loads(done.stderr.splitlines()[-1])
     assert loaded == []
+    assert cli_modules == CLI_MODULES
+    assert added == [f"discern.{m}" for m in COMMAND_MODULES[argv[0]]]
     assert (code, numpy_loaded) == (expected_code, loads_numpy)
     # The same bytes as in-process, where ``test_golden_outputs`` pins the
     # fixture cases to their golden files.
     assert (code, done.stdout) == run_cli(capsys, argv)
+
+
+# Every public name of the package, by its defining module.
+PACKAGE_NAMES = {
+    "barrier": "CapacityResult CollisionReport collisions identification_capacity information_loss quotient",
+    "errors": "BarrierError ConfigError EmptyInputError LimitError ParseError ValidationError",
+    "matroid": "DimensionResult MatroidReport closure distinguishing_dimension "
+    "enumerate_minimal_distinguishing is_distinguishing x_equivalent",
+    "noisy": "NoiseConfig NoiseResult simulate_noisy_identification simulate_tagged",
+    "resolver": "ConfigInstance ResolveResult ResolveScenario getattribute normalize "
+    "resolution_query_count resolve well_formed",
+    "scheme": "ClassRecord Profile Scheme load_scheme parse_scheme profile_of serialize_scheme",
+    "strategies": "StrategyDescriptor TAG_READ TagPlan Transcript decode_distortion hybrid_tag_plan "
+    "identify identify_all tag_partition witness_eq_cost witness_id_cost",
+    "tradeoff": "TradeoffPoint achievable_points converse_check localization_counts lossy_budget pareto_frontier",
+    "trees": "DecisionTree TreeNode greedy_decision_tree optimal_decision_tree",
+}
+
+
+def test_package_names_are_their_modules_objects():
+    import discern
+
+    names = []
+    for module, listed in PACKAGE_NAMES.items():
+        home = vars(importlib.import_module(f"discern.{module}"))
+        for name in listed.split():
+            # What ``from discern import name`` runs.
+            assert getattr(__import__("discern", fromlist=[name]), name) is home[name], name
+            names.append(name)
+    assert sorted(discern.__all__) == sorted(names)
+    assert set(names) <= set(dir(discern))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        discern.no_such_name
+
+
+def test_import_discern_loads_no_submodule():
+    probe = (
+        "import json, sys; import discern; "
+        "ours = lambda: sorted(m for m in sys.modules if m.partition('.')[0] == 'discern'); "
+        "alone, bound = ours(), hasattr(discern, 'matroid'); "
+        "from discern import matroid; "
+        "print(json.dumps([alone, bound, matroid.__name__, ours()]))"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    alone, bound, name, loaded = json.loads(done.stdout)
+    assert (alone, bound) == (["discern"], False)
+    # A submodule is not a table name, so ``from discern import`` imports it.
+    assert name == "discern.matroid"
+    assert loaded == ["discern", "discern.barrier", "discern.errors", "discern.matroid", "discern.scheme"]
 
 
 def test_byte_identical_reruns(capsys, fixtures_dir):
